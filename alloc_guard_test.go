@@ -13,6 +13,7 @@
 package faultroute_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -27,7 +28,7 @@ func allocsPerEstimate(t *testing.T, spec faultroute.Spec, src, dst faultroute.V
 	seed := uint64(0)
 	run := func() {
 		seed++
-		if _, err := faultroute.Estimate(spec, src, dst, 1, 400, seed); err != nil &&
+		if _, err := faultroute.NewLocal(faultroute.WithWorkers(1)).Estimate(context.Background(), spec, src, dst, 1, 400, seed); err != nil &&
 			err != faultroute.ErrConditioning {
 			t.Fatal(err)
 		}

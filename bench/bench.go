@@ -532,7 +532,6 @@ func runCell(ctx context.Context, target *Target, cell Cell, opts Options, cellI
 		row.Metrics["hedges"] = float64(st.Hedges)
 		row.Metrics["hedge-wins"] = float64(st.HedgeWins)
 		row.Metrics["hedge-cancels"] = float64(st.HedgeCancels)
-		row.Metrics["peer-fills"] = float64(st.PeerFills)
 	}
 	return row, nil
 }

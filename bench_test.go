@@ -12,6 +12,7 @@ package faultroute_test
 // the cost and the headline quantity of each experiment over time.
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -35,7 +36,7 @@ func routePair(b *testing.B, g faultroute.Graph, p float64, r faultroute.Router,
 	var totalProbes float64
 	routed := 0
 	for i := 0; i < b.N; i++ {
-		c, err := faultroute.Estimate(spec, src, dst, 1, 400, uint64(i))
+		c, err := faultroute.NewLocal(faultroute.WithWorkers(1)).Estimate(context.Background(), spec, src, dst, 1, 400, uint64(i))
 		if errors.Is(err, faultroute.ErrConditioning) {
 			continue
 		}
@@ -461,7 +462,7 @@ func benchEstimateWorkers(b *testing.B, workers int) {
 		Mode:   faultroute.ModeLocal,
 	}
 	for i := 0; i < b.N; i++ {
-		if _, err := faultroute.EstimateWorkers(spec, 0, g.Antipode(0), 32, 100, uint64(i), workers); err != nil {
+		if _, err := faultroute.NewLocal(faultroute.WithWorkers(workers)).Estimate(context.Background(), spec, 0, g.Antipode(0), 32, 100, uint64(i)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -474,7 +475,7 @@ func benchEstimateWorkers(b *testing.B, workers int) {
 func BenchmarkEstimate32TrialsSequential(b *testing.B) { benchEstimateWorkers(b, 1) }
 
 // BenchmarkEstimate32TrialsParallel shards the same 32 trials across
-// all cores via faultroute.EstimateWorkers.
+// all cores via a Local with WithWorkers(0).
 func BenchmarkEstimate32TrialsParallel(b *testing.B) { benchEstimateWorkers(b, 0) }
 
 // BenchmarkEstimateBatchSweep pushes a whole 4-p sweep through one
@@ -497,7 +498,7 @@ func BenchmarkEstimateBatchSweep(b *testing.B) {
 				Trials: 8, MaxTries: 100, Seed: uint64(i),
 			}
 		}
-		if _, err := faultroute.EstimateBatch(reqs, 0); err != nil {
+		if _, err := faultroute.NewLocal(faultroute.WithWorkers(0)).EstimateBatch(context.Background(), reqs); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -6,9 +6,10 @@
 // either, because both execute the one compiled codec of faultroute/api
 // and the service serves exactly the bytes it cached. Do submits a job,
 // polls it to completion and fetches the result; Watch additionally
-// streams progress events; the lower-level Submit / Status / Result /
-// Cancel calls expose the raw endpoints for callers that manage jobs
-// themselves.
+// streams progress events; Await is Watch's post-submit half, for
+// callers that Submit themselves; the lower-level Submit / Status /
+// Result / Cancel calls expose the raw endpoints for callers that
+// manage jobs themselves.
 //
 // Submissions are content-addressed and therefore idempotent: the
 // client retries transient failures (network errors, 503 queue-full)
@@ -136,21 +137,27 @@ func (e *JobError) Error() string {
 // bytes. The returned Body is byte-identical to a faultroute.Local run
 // of the same request.
 func (c *Client) Do(ctx context.Context, req api.Request) (api.Result, error) {
-	return c.run(ctx, req, nil)
+	return c.Watch(ctx, req, nil)
 }
 
 // Watch is Do with progress events: onEvent observes the job's state
 // and trial counters at every poll (deduplicated, in order) until the
 // job is terminal.
 func (c *Client) Watch(ctx context.Context, req api.Request, onEvent func(api.Event)) (api.Result, error) {
-	return c.run(ctx, req, onEvent)
-}
-
-func (c *Client) run(ctx context.Context, req api.Request, onEvent func(api.Event)) (api.Result, error) {
 	sub, err := c.Submit(ctx, req)
 	if err != nil {
 		return api.Result{}, err
 	}
+	return c.Await(ctx, req, sub, onEvent)
+}
+
+// Await is the half of Watch after the submission: given the response
+// Submit returned for req, it follows the job to a terminal state,
+// delivering deduplicated progress events to onEvent (nil for none),
+// and fetches the canonical result bytes. Callers that need the job ID
+// before waiting — to cancel it remotely, say — Submit and Await
+// themselves, so the request is posted exactly once.
+func (c *Client) Await(ctx context.Context, req api.Request, sub api.SubmitResponse, onEvent func(api.Event)) (api.Result, error) {
 	st := sub.Job
 	last := api.Event{State: st.State, Done: st.Done, Total: st.Total}
 	if onEvent != nil {
@@ -162,6 +169,7 @@ func (c *Client) run(ctx context.Context, req api.Request, onEvent func(api.Even
 		// stream is refused or dies mid-job. Both paths share the dedup
 		// state (`last`), so a mid-stream fallback continues the one
 		// deduplicated, monotone event sequence seamlessly.
+		var err error
 		streamed := false
 		if c.sse && sub.Events != "" {
 			var fin api.JobStatus

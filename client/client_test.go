@@ -207,3 +207,46 @@ func TestClientExperimentsAndHealth(t *testing.T) {
 		t.Fatalf("health = %+v, %v", h, err)
 	}
 }
+
+func TestClientSubmitThenAwaitPostsOnce(t *testing.T) {
+	// Await follows the submission it is handed: a caller that Submits
+	// first (to learn the job ID) costs one POST, not two, and gets the
+	// same bytes Do returns.
+	svc := serve.New(serve.Options{Workers: 1, Executors: 2, QueueDepth: 16})
+	t.Cleanup(svc.Close)
+	var posts atomic.Int64
+	h := svc.Handler()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost {
+			posts.Add(1)
+		}
+		h.ServeHTTP(w, r)
+	}))
+	t.Cleanup(ts.Close)
+	c := client.New(ts.URL, client.WithPollInterval(5*time.Millisecond))
+	ctx := context.Background()
+	req := identityRequests()[0]
+
+	sub, err := c.Submit(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var last api.Event
+	got, err := c.Await(ctx, req, sub, func(ev api.Event) { last = ev })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := posts.Load(); n != 1 {
+		t.Fatalf("Submit+Await posted %d times, want 1", n)
+	}
+	if last.State != api.JobDone {
+		t.Fatalf("last event %+v, want done", last)
+	}
+	want, err := faultroute.NewLocal().Do(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Key != want.Key || !bytes.Equal(got.Body, want.Body) {
+		t.Fatalf("Await result differs from local:\n got %s %s\nwant %s %s", got.Key, got.Body, want.Key, want.Body)
+	}
+}

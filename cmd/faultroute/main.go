@@ -184,8 +184,8 @@ func run(args []string) error {
 			defer func() {
 				st := pool.Stats()
 				fmt.Fprintf(os.Stderr,
-					"dispatch: %d sub-jobs, %d failovers, %d hedges (%d wins, %d cancels), %d peer fills\n",
-					st.SubJobs, st.Failovers, st.Hedges, st.HedgeWins, st.HedgeCancels, st.PeerFills)
+					"dispatch: %d sub-jobs, %d failovers, %d hedges (%d wins, %d cancels)\n",
+					st.SubJobs, st.Failovers, st.Hedges, st.HedgeWins, st.HedgeCancels)
 			}()
 			// -workers defaults to THIS machine's core count — never
 			// impose that on remote backends unless explicitly asked.

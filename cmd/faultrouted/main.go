@@ -55,6 +55,14 @@ func main() {
 	}
 }
 
+// Connection timeouts of the daemon's HTTP server: a client gets
+// readHeaderTimeout to send its request headers, and an idle keep-alive
+// connection is closed after idleTimeout.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // errUsage marks a flag-parse failure whose message the flag package has
 // already printed alongside the usage text.
 var errUsage = errors.New("usage")
@@ -128,9 +136,15 @@ func run(args []string) error {
 	})
 	defer svc.Close()
 
+	// Header and idle timeouts bound what a slow or silent client can
+	// hold open. There is deliberately no read or write timeout on whole
+	// requests: a progress stream (GET /v1/jobs/{id}/events) stays open
+	// for as long as its job runs.
 	srv := &http.Server{
-		Addr:    *addr,
-		Handler: svc.Handler(),
+		Addr:              *addr,
+		Handler:           svc.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

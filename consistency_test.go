@@ -7,6 +7,7 @@ package faultroute_test
 // models.
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -163,11 +164,11 @@ func TestDeterminismAcrossTheStack(t *testing.T) {
 	}
 	spec := faultroute.Spec{Graph: g, P: 0.5,
 		Router: faultroute.NewPathFollowRouter(), Mode: faultroute.ModeLocal}
-	c1, err := faultroute.Estimate(spec, 0, g.Antipode(0), 5, 100, 7)
+	c1, err := faultroute.NewLocal(faultroute.WithWorkers(1)).Estimate(context.Background(), spec, 0, g.Antipode(0), 5, 100, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, err := faultroute.Estimate(spec, 0, g.Antipode(0), 5, 100, 7)
+	c2, err := faultroute.NewLocal(faultroute.WithWorkers(1)).Estimate(context.Background(), spec, 0, g.Antipode(0), 5, 100, 7)
 	if err != nil {
 		t.Fatal(err)
 	}

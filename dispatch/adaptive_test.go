@@ -41,7 +41,9 @@ func TestPoolHedgingByteIdenticalToLocal(t *testing.T) {
 		dispatch.WithHedgeAfter(30*time.Millisecond))
 	ctx := context.Background()
 
-	req := estimateReq(40)
+	// 32 shards: the straggler owns some of them for every port
+	// assignment (it misses all 32 with probability (2/3)^32).
+	req := estimateReq(128)
 	want, err := faultroute.NewLocal().Do(ctx, req)
 	if err != nil {
 		t.Fatal(err)
@@ -92,7 +94,7 @@ func TestPoolResolverAdmitsJoinerMidSweep(t *testing.T) {
 	pool, err := dispatch.New(nil, fastOpts(
 		dispatch.WithResolver(resolve),
 		dispatch.WithShardTrials(4),
-		dispatch.WithPeerFill(false))...)
+	)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,9 +120,10 @@ func TestPoolResolverAdmitsJoinerMidSweep(t *testing.T) {
 	urls = append(urls, b2.srv.URL)
 	mu.Unlock()
 
-	// A different spec: the first job's results are cached fleet-wide and
-	// a repeat would be answered without dispatching anything.
-	req2 := estimateReq(24)
+	// A different spec, so the joiner has nothing cached to be skipped
+	// for. Placement spreads its 32 shards by content address; the joiner
+	// owns none of them with probability 2^-32, whatever the ports.
+	req2 := estimateReq(128)
 	req2.Estimate.Seed = 11
 	want2, err := faultroute.NewLocal().Do(ctx, req2)
 	if err != nil {
@@ -158,13 +161,14 @@ func TestPoolResolverDrainsRemovedBackend(t *testing.T) {
 	pool, err := dispatch.New(nil, fastOpts(
 		dispatch.WithResolver(resolve),
 		dispatch.WithShardTrials(4),
-		dispatch.WithPeerFill(false))...)
+	)...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
 
-	if _, err := pool.Do(ctx, estimateReq(24)); err != nil {
+	// 32 shards: backend 2 owns none of them with probability 2^-32.
+	if _, err := pool.Do(ctx, estimateReq(128)); err != nil {
 		t.Fatal(err)
 	}
 	if removedSubmits.Load() == 0 {
@@ -209,7 +213,6 @@ func TestPoolHealthRecoversCooldownBackend(t *testing.T) {
 	b2 := newBackend(t, nil)
 	pool := newPool(t, []string{b1.srv.URL, b2.srv.URL},
 		dispatch.WithShardTrials(4),
-		dispatch.WithPeerFill(false),
 		dispatch.WithCooldown(time.Hour)) // the probe, not the clock, must recover it
 	ctx := context.Background()
 
@@ -229,9 +232,10 @@ func TestPoolHealthRecoversCooldownBackend(t *testing.T) {
 	}
 
 	// The recovered backend must take sub-jobs again within the next job
-	// — an hour-long cooldown would have parked it otherwise.
+	// — an hour-long cooldown would have parked it otherwise. 32 shards:
+	// it owns none of them with probability 2^-32.
 	beforeHeal := b1Submits.Load()
-	req := estimateReq(24)
+	req := estimateReq(128)
 	req.Estimate.Seed = 23
 	if _, err := pool.Do(ctx, req); err != nil {
 		t.Fatal(err)

@@ -11,8 +11,8 @@
 // re-dispatches, returns exactly the bytes faultroute.Local computes
 // for the same request.
 //
-// Internally the Pool is four layers, each behind a small interface so
-// policies are swappable and testable in isolation:
+// Internally the Pool is four layers, each small enough to test in
+// isolation:
 //
 //   - The planner (planner.go) sizes an estimate's trial shards. By
 //     default it is latency-adaptive: completed sub-jobs feed a
@@ -20,10 +20,11 @@
 //     toward a fixed wall-time target (WithShardTarget); WithShardTrials
 //     pins a fixed size instead. Shard layout never changes bytes —
 //     api.MergeShards folds per-trial rows in trial order.
-//   - The selector (selector.go) picks the backend for each sub-job:
-//     capacity-weighted smooth round-robin, where a backend's weight is
-//     the inverse of its observed per-trial latency. With no
-//     observations it degenerates to pure rotation.
+//   - Placement (placement.go) orders the backends for each sub-job by
+//     weighted rendezvous hashing over the sub-job's content address.
+//     The head of the order owns the key; failover walks down the
+//     order. A backend whose observed per-trial latency is far off the
+//     fleet median weighs more or less, so it owns more or fewer keys.
 //   - The hedger (hedger.go) watches for stragglers: an attempt that
 //     outlives its expected duration is speculatively re-dispatched to
 //     an idle backend, the first completed result wins, and the loser
@@ -32,7 +33,7 @@
 //   - The membership layer (membership.go) owns the live backend set.
 //     WithResolver re-resolves it between jobs: joiners are admitted,
 //     removed backends drain (they finish or fail over their running
-//     attempts and leave selection immediately).
+//     attempts and leave placement immediately).
 //
 // Fan-out per request kind: estimates are sharded into trial-range
 // sub-jobs (api.ShardSpec), each a content-addressed job of its own;
@@ -45,14 +46,12 @@
 // re-dispatches the shard to a surviving backend and the retried range
 // recomputes identical rows. Failing backends cool down; a cooled-down
 // backend that recovers (next successful Health probe) re-enters
-// selection with its latency estimate reset to the fleet median, so a
+// placement with its latency estimate reset to the fleet median, so a
 // crash's worst-case EWMA cannot down-weight it forever.
 //
-// The same determinism powers peer cache fill (on by default, see
-// WithPeerFill): before dispatching a sub-job the Pool probes the
-// surviving backends' GET /v1/results/{key} under a short deadline, and
-// any backend that already holds the content-addressed result answers
-// the sub-job outright — no job submitted, no trials recomputed.
+// Content addressing makes repeats cheap without any probing: a sub-job
+// that ran before goes to the same owner, whose result store answers
+// the submission as a cache hit — no trials recomputed.
 package dispatch
 
 import (
@@ -82,10 +81,6 @@ var (
 		"Sub-jobs re-dispatched to another backend after a transient failure.")
 	mBackendsDown = metrics.Process().Counter("faultroute_dispatch_backends_down_total",
 		"Backends marked down for a cooldown after a failed probe or sub-job.")
-	mPeerProbes = metrics.Process().Counter("faultroute_dispatch_peer_probes_total",
-		"Peer result-cache probes (GET /v1/results/{key}) issued before dispatching sub-jobs.")
-	mPeerFills = metrics.Process().Counter("faultroute_dispatch_peer_fills_total",
-		"Sub-jobs answered from a peer backend's result cache, no work dispatched.")
 	mHedges = metrics.Process().Counter("faultroute_dispatch_hedges_total",
 		"Speculative duplicate attempts launched against straggling sub-jobs.")
 	mHedgeWins = metrics.Process().Counter("faultroute_dispatch_hedge_wins_total",
@@ -97,7 +92,7 @@ var (
 	mMembersLeft = metrics.Process().Counter("faultroute_dispatch_members_left_total",
 		"Backends drained out of a pool by membership re-resolution (WithResolver).")
 	mBackendEWMA = metrics.Process().GaugeVec("faultroute_dispatch_backend_trial_ewma_us",
-		"Observed per-trial sub-job completion latency EWMA by backend, in microseconds — the selector's capacity signal.",
+		"Observed per-trial sub-job completion latency EWMA by backend, in microseconds — the placement weight's capacity signal.",
 		"backend")
 )
 
@@ -107,24 +102,21 @@ var (
 // backend set is fixed unless WithResolver makes membership live.
 type Pool struct {
 	members *memberSet
-	sel     selector
 	planner planner
 	hedge   hedger
 	sem     chan struct{} // bounds in-flight sub-jobs, pool-wide
 
-	attempts    int // 0 = dynamic: current member count + 1
-	cooldown    time.Duration
-	peerFill    bool
-	peerTimeout time.Duration
+	attempts int // 0 = dynamic: current member count + 1
+	cooldown time.Duration
 
 	stats poolStats
 }
 
 // poolStats is the Pool's own view of the process-wide counters.
 type poolStats struct {
-	subJobs, failovers      atomic.Uint64
-	hedges, hedgeWins       atomic.Uint64
-	hedgeCancels, peerFills atomic.Uint64
+	subJobs, failovers atomic.Uint64
+	hedges, hedgeWins  atomic.Uint64
+	hedgeCancels       atomic.Uint64
 }
 
 // PoolStats is a point-in-time snapshot of one Pool's dispatch
@@ -140,7 +132,9 @@ type PoolStats struct {
 	// counts races the speculative attempt won; HedgeCancels counts
 	// losing attempts successfully canceled on their backend.
 	Hedges, HedgeWins, HedgeCancels uint64
-	// PeerFills counts sub-jobs answered from a peer's result cache.
+	// PeerFills is always 0: the Pool never answers a sub-job by
+	// probing a peer's cache. The field stays only for callers that
+	// still read it.
 	PeerFills uint64
 }
 
@@ -152,7 +146,6 @@ func (p *Pool) Stats() PoolStats {
 		Hedges:       p.stats.hedges.Load(),
 		HedgeWins:    p.stats.hedgeWins.Load(),
 		HedgeCancels: p.stats.hedgeCancels.Load(),
-		PeerFills:    p.stats.peerFills.Load(),
 	}
 }
 
@@ -167,10 +160,8 @@ type settings struct {
 	maxInFlight int
 	attempts    int
 	cooldown    time.Duration
-	peerFill    bool
 	hedging     bool
 	hedgeAfter  time.Duration
-	peerTimeout time.Duration
 }
 
 // WithClientOptions forwards options (poll interval, retry policy, HTTP
@@ -222,7 +213,7 @@ func WithMaxInFlight(n int) Option { return func(s *settings) { s.maxInFlight = 
 func WithAttempts(n int) Option { return func(s *settings) { s.attempts = n } }
 
 // WithCooldown sets how long a backend that failed a sub-job is skipped
-// by selection (default 15s; it is still used as a last resort when
+// by placement (default 15s; it is still used as a last resort when
 // every backend is marked down). A successful Health probe ends the
 // cooldown early and resets the backend's latency estimate to the
 // fleet median.
@@ -244,22 +235,6 @@ func WithHedging(enabled bool) Option { return func(s *settings) { s.hedging = e
 // delay is the larger of the floor and twice the attempt's expected
 // duration.
 func WithHedgeAfter(d time.Duration) Option { return func(s *settings) { s.hedgeAfter = d } }
-
-// WithPeerFill enables or disables peer cache fill (default on, in
-// pools with at least two backends): before dispatching a sub-job, the
-// Pool probes every surviving backend's GET /v1/results/{key} under a
-// short deadline, and any hit IS the sub-job's answer — by the
-// determinism contract the stored bytes are exactly what a
-// recomputation would produce — so a shard a sibling already holds
-// costs one GET instead of a job. Misses fall through to a normal
-// dispatch; the probe can therefore change throughput but never bytes.
-func WithPeerFill(enabled bool) Option { return func(s *settings) { s.peerFill = enabled } }
-
-// WithPeerProbeTimeout bounds how long a peer-fill probe may take
-// before the Pool gives up and dispatches the sub-job normally (<= 0
-// restores the default of 250ms). The deadline is what keeps a dead
-// peer from stalling fresh work.
-func WithPeerProbeTimeout(d time.Duration) Option { return func(s *settings) { s.peerTimeout = d } }
 
 // hedgeFactor scales an attempt's expected duration into its hedge
 // trigger: only attempts at least this many times over their estimate
@@ -285,7 +260,7 @@ func ParseBackends(s string) []string {
 // initial set (and every later one). New performs no I/O beyond that
 // initial resolution; use Health to probe the backends.
 func New(targets []string, opts ...Option) (*Pool, error) {
-	s := settings{cooldown: 15 * time.Second, peerFill: true, hedging: true}
+	s := settings{cooldown: 15 * time.Second, hedging: true}
 	for _, opt := range opts {
 		opt(&s)
 	}
@@ -298,9 +273,6 @@ func New(targets []string, opts ...Option) (*Pool, error) {
 	if s.maxInFlight <= 0 {
 		s.maxInFlight = 4 * len(targets)
 	}
-	if s.peerTimeout <= 0 {
-		s.peerTimeout = 250 * time.Millisecond
-	}
 	if s.hedgeAfter <= 0 {
 		s.hedgeAfter = 400 * time.Millisecond
 	}
@@ -312,24 +284,22 @@ func New(targets []string, opts ...Option) (*Pool, error) {
 		pl = fixedPlanner{size: s.shardTrials}
 	}
 	return &Pool{
-		members:     newMemberSet(targets, s.resolver, s.clientOpts),
-		sel:         &weightedSelector{},
-		planner:     pl,
-		hedge:       hedger{enabled: s.hedging, floor: s.hedgeAfter, factor: hedgeFactor},
-		sem:         make(chan struct{}, s.maxInFlight),
-		attempts:    s.attempts,
-		cooldown:    s.cooldown,
-		peerFill:    s.peerFill,
-		peerTimeout: s.peerTimeout,
+		members:  newMemberSet(targets, s.resolver, s.clientOpts),
+		planner:  pl,
+		hedge:    hedger{enabled: s.hedging, floor: s.hedgeAfter, factor: hedgeFactor},
+		sem:      make(chan struct{}, s.maxInFlight),
+		attempts: s.attempts,
+		cooldown: s.cooldown,
 	}, nil
 }
 
 // Compile-time check: a Pool is interchangeable with Local and Client.
 var _ api.Runner = (*Pool)(nil)
 
-// Backends returns the pool's current base URLs, in selection order.
-// With WithResolver the list reflects the membership as of the last
-// refresh (New, or the start of the most recent request).
+// Backends returns the pool's current base URLs, in the order they
+// were configured or resolved (placement orders them per sub-job, by
+// key). With WithResolver the list reflects the membership as of the
+// last refresh (New, or the start of the most recent request).
 func (p *Pool) Backends() []string {
 	members := p.members.snapshot()
 	out := make([]string, len(members))
@@ -350,8 +320,8 @@ type BackendHealth struct {
 }
 
 // Health re-resolves membership, probes every backend's /v1/healthz
-// concurrently and returns the reports in selection order. Unreachable
-// backends are marked down (entering the selection cooldown); a
+// concurrently and returns the reports in Backends order. Unreachable
+// backends are marked down (entering the placement cooldown); a
 // backend that answers after having been down recovers immediately —
 // its cooldown ends and its latency estimate resets to the fleet
 // median, so a stale worst-case EWMA cannot down-weight a recovered
@@ -375,7 +345,7 @@ func (p *Pool) Health(ctx context.Context) []BackendHealth {
 			case ctx.Err() == nil:
 				// A probe that died because the CALLER's context expired says
 				// nothing about the backend — marking the whole cluster down
-				// off a canceled warm-up would poison selection for a cooldown.
+				// off a canceled warm-up would poison placement for a cooldown.
 				m.markDown(p.cooldown)
 			}
 		}(i, m)
@@ -526,11 +496,12 @@ func mustShard(res api.Result, want api.ShardSpec) (api.ShardResult, error) {
 	return sr, nil
 }
 
-// dispatch runs one sub-job to completion on some backend, hedging
-// stragglers and failing over on transient errors. slot identifies the
-// sub-job to the progress aggregator. The call holds one in-flight
-// token for its whole duration (submit, poll, fetch, retries, hedges —
-// a hedge races under its primary's token rather than consuming one).
+// dispatch runs one sub-job to completion on the owner of its content
+// address, hedging stragglers and failing over down the placement order
+// on transient errors. slot identifies the sub-job to the progress
+// aggregator. The call holds one in-flight token for its whole
+// duration (submit, poll, fetch, retries, hedges — a hedge races under
+// its primary's token rather than consuming one).
 func (p *Pool) dispatch(ctx context.Context, req api.Request, slot int, agg *aggregator) (api.Result, error) {
 	select {
 	case p.sem <- struct{}{}:
@@ -543,17 +514,11 @@ func (p *Pool) dispatch(ctx context.Context, req api.Request, slot int, agg *agg
 	if len(members) == 0 {
 		return api.Result{}, errors.New("dispatch: no backends resolved")
 	}
-
-	// Peer cache fill: a sibling backend may already hold this sub-job's
-	// content-addressed result — from an earlier run, an overlapping
-	// request, or a previous shard layout that happened to align. One
-	// cheap GET then replaces a full submit/poll/fetch round.
-	if p.peerFill && len(members) > 1 {
-		if res, total, ok := p.probePeers(ctx, members, req); ok {
-			agg.observe(slot, total)
-			return res, nil
-		}
+	plan, err := api.Compile(req)
+	if err != nil {
+		return api.Result{}, err
 	}
+	order := place(plan.Key, members)
 
 	attempts := p.attempts
 	if attempts <= 0 {
@@ -562,16 +527,13 @@ func (p *Pool) dispatch(ctx context.Context, req api.Request, slot int, agg *agg
 	var lastErr error
 	tried := make(map[*member]bool, attempts)
 	for attempt := 0; attempt < attempts; attempt++ {
-		m := p.sel.pick(members, tried)
-		if m == nil {
-			break
-		}
+		m := pick(order, tried)
 		tried[m] = true
 		if attempt > 0 {
 			mFailovers.Inc()
 			p.stats.failovers.Add(1)
 		}
-		res, err := p.runAttempt(ctx, m, req, slot, agg, members, tried)
+		res, err := p.runAttempt(ctx, m, req, slot, agg, order, tried)
 		if err == nil {
 			return res, nil
 		}
@@ -584,55 +546,6 @@ func (p *Pool) dispatch(ctx context.Context, req api.Request, slot int, agg *agg
 		lastErr = err
 	}
 	return api.Result{}, fmt.Errorf("dispatch: sub-job failed on %d backend(s): %w", len(tried), lastErr)
-}
-
-// probePeers asks every surviving backend, concurrently and under the
-// pool's probe deadline, whether it already holds the sub-job's result
-// (GET /v1/results/{key} of the locally compiled content address). The
-// first hit wins; shard results are validated against the requested
-// range first, exactly like dispatched ones, so a skewed peer copy
-// falls through to a normal dispatch instead of merging wrong bytes.
-// Returns the result, the sub-job's total trial count (for the progress
-// aggregator), and whether any peer answered.
-func (p *Pool) probePeers(ctx context.Context, members []*member, req api.Request) (api.Result, int64, bool) {
-	plan, err := api.Compile(req)
-	if err != nil {
-		return api.Result{}, 0, false // let dispatch surface the compile error
-	}
-	pctx, cancel := context.WithTimeout(ctx, p.peerTimeout)
-	defer cancel()
-	ch := make(chan []byte, len(members))
-	probed := 0
-	for _, m := range members {
-		if !m.up() {
-			continue // a probe to a down backend would just eat the deadline
-		}
-		probed++
-		mPeerProbes.Inc()
-		go func(m *member) {
-			body, err := m.c.Result(pctx, plan.Key)
-			if err != nil {
-				body = nil // misses (404) and dead peers look the same here
-			}
-			ch <- body
-		}(m)
-	}
-	for i := 0; i < probed; i++ {
-		body := <-ch
-		if body == nil {
-			continue
-		}
-		res := api.Result{Kind: req.Kind, Key: plan.Key, Body: body}
-		if spec := req.Estimate; req.Kind == api.KindEstimate && spec != nil && spec.Shard != nil {
-			if _, err := mustShard(res, *spec.Shard); err != nil {
-				continue
-			}
-		}
-		mPeerFills.Inc()
-		p.stats.peerFills.Add(1)
-		return res, plan.Total, true
-	}
-	return api.Result{}, 0, false
 }
 
 // failoverable classifies a sub-job failure: transient failures are

@@ -42,6 +42,18 @@ func newBackend(t *testing.T, wrap func(http.Handler) http.Handler) *testBackend
 	return b
 }
 
+// countSubmits wraps a backend handler, counting POST /v1/jobs calls.
+func countSubmits(n *atomic.Int64) func(http.Handler) http.Handler {
+	return func(next http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.Method == http.MethodPost && r.URL.Path == "/v1/jobs" {
+				n.Add(1)
+			}
+			next.ServeHTTP(w, r)
+		})
+	}
+}
+
 // fastOpts keeps test dispatches snappy: tight polling, minimal backoff.
 func fastOpts(extra ...dispatch.Option) []dispatch.Option {
 	return append([]dispatch.Option{
@@ -199,8 +211,8 @@ func TestPoolFailoverExperimentWholeJob(t *testing.T) {
 	// dies after accepting the job loses it to the survivor.
 	healthy := newBackend(t, nil)
 	dying := newBackend(t, failAfter(2))
-	// Two attempts: the dying backend first (cursor starts there), then
-	// the survivor.
+	// If the dying backend owns the job's key, the survivor is the second
+	// attempt; if not, the survivor answers first.
 	pool := newPool(t, []string{dying.srv.URL, healthy.srv.URL})
 	ctx := context.Background()
 	req := api.Request{

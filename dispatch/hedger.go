@@ -84,7 +84,7 @@ type outcome struct {
 // the first successful result, or — once every launched attempt has
 // failed — the primary's classification-relevant error. Transiently
 // failing members are marked down here so the caller's failover loop
-// and the selector see one coherent health view. tried is extended
+// and placement see one coherent health view. tried is extended
 // with every member an attempt actually ran on.
 func (p *Pool) runAttempt(ctx context.Context, primary *member, req api.Request, slot int, agg *aggregator, members []*member, tried map[*member]bool) (api.Result, error) {
 	ch := make(chan outcome, 2)
@@ -153,10 +153,10 @@ func (p *Pool) runAttempt(ctx context.Context, primary *member, req api.Request,
 }
 
 // watchOn runs one attempt on one member: submit (capturing the job ID
-// so a losing attempt can be canceled remotely), then watch to
-// completion, feeding progress into the aggregator. The aggregator's
-// per-slot max semantics make two concurrent watchers of one slot
-// safe: the sum only ever reflects the farthest-along attempt.
+// so a losing attempt can be canceled remotely), then await that same
+// submission to completion, feeding progress into the aggregator. The
+// aggregator's per-slot max semantics make two concurrent watchers of
+// one slot safe: the sum only ever reflects the farthest-along attempt.
 func (p *Pool) watchOn(ctx context.Context, at *attempt, req api.Request, slot int, agg *aggregator, ch chan<- outcome) {
 	m := at.m
 	m.inflight.Add(1)
@@ -172,10 +172,7 @@ func (p *Pool) watchOn(ctx context.Context, at *attempt, req api.Request, slot i
 	if id := sub.Job.ID; id != "" {
 		at.jobID.Store(&id)
 	}
-	// Watch resubmits the request: by content address it coalesces onto
-	// the job just submitted (or its cached result), so the extra POST is
-	// a memoized no-op, not duplicate work.
-	res, err := m.c.Watch(ctx, req, func(ev api.Event) {
+	res, err := m.c.Await(ctx, req, sub, func(ev api.Event) {
 		agg.observe(slot, ev.Done)
 	})
 	ch <- outcome{at: at, res: res, err: err, elapsed: time.Since(start)}
@@ -229,7 +226,7 @@ func pickHedge(members []*member, tried map[*member]bool, primary *member) *memb
 }
 
 // observeSuccess feeds one successful sub-job back into the adaptive
-// layers: the member's per-trial EWMA (selection weight, hedge timing)
+// layers: the member's per-trial EWMA (placement weight, hedge timing)
 // and the planner's fleet-wide estimate (next job's shard size).
 func (p *Pool) observeSuccess(m *member, req api.Request, elapsed time.Duration) {
 	trials := requestTrials(req)

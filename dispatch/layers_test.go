@@ -1,9 +1,13 @@
 package dispatch
 
 // White-box tests of the layer policies in isolation: planner sizing
-// math, capacity-weighted selection, and cooldown/EWMA recovery.
+// math, capacity-weighted placement, and cooldown/EWMA recovery.
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"slices"
+	"strconv"
 	"testing"
 	"time"
 
@@ -55,48 +59,116 @@ func TestShardRangesCoverTrialsExactly(t *testing.T) {
 	}
 }
 
-func TestWeightedSelectorEqualWeightsRotate(t *testing.T) {
-	// With no latency observations every member weighs 1.0 and selection
-	// must degenerate to plain rotation — the pre-refactor behavior the
-	// failover tests pin (first pick = first member).
-	members := []*member{{url: "a"}, {url: "b"}, {url: "c"}}
-	s := &weightedSelector{}
-	var got []string
-	for i := 0; i < 6; i++ {
-		got = append(got, s.pick(members, map[*member]bool{}).url)
+// placementKeys returns n fixed content addresses for placement tests.
+func placementKeys(n int) []string {
+	keys := make([]string, n)
+	for i := range keys {
+		sum := sha256.Sum256([]byte(strconv.Itoa(i)))
+		keys[i] = hex.EncodeToString(sum[:])
 	}
-	want := []string{"a", "b", "c", "a", "b", "c"}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("equal-weight schedule %v, want %v", got, want)
+	return keys
+}
+
+func TestPlacementOwnerIgnoresMemberOrder(t *testing.T) {
+	a := &member{url: "http://10.0.0.1:8080"}
+	b := &member{url: "http://10.0.0.2:8080"}
+	c := &member{url: "http://10.0.0.3:8080"}
+	for _, k := range placementKeys(200) {
+		want := place(k, []*member{a, b, c})
+		for _, perm := range [][]*member{{c, b, a}, {b, a, c}, {c, a, b}} {
+			if got := place(k, perm); !slices.Equal(got, want) {
+				t.Fatalf("key %s: order over a permuted member slice differs", k)
+			}
 		}
 	}
 }
 
-func TestWeightedSelectorFavorsFastMembers(t *testing.T) {
-	fast := &member{url: "fast", ewma: time.Millisecond}
-	slowM := &member{url: "slow", ewma: 4 * time.Millisecond}
-	members := []*member{fast, slowM}
-	s := &weightedSelector{}
-	counts := map[string]int{}
-	for i := 0; i < 100; i++ {
-		counts[s.pick(members, map[*member]bool{}).url]++
+func TestPlacementRemovalMovesOnlyOwnedKeys(t *testing.T) {
+	a := &member{url: "http://10.0.0.1:8080"}
+	b := &member{url: "http://10.0.0.2:8080"}
+	c := &member{url: "http://10.0.0.3:8080"}
+	moved := 0
+	for _, k := range placementKeys(1000) {
+		before := place(k, []*member{a, b, c})
+		after := place(k, []*member{a, c})
+		if before[0] != b {
+			if after[0] != before[0] {
+				t.Fatalf("key %s moved from %s to %s although its owner stayed", k, before[0].url, after[0].url)
+			}
+			continue
+		}
+		// b's keys move to the next member in their own order.
+		if after[0] != before[1] {
+			t.Fatalf("key %s owned by the removed member went to %s, want its runner-up %s", k, after[0].url, before[1].url)
+		}
+		moved++
 	}
-	// 4:1 latency split → 4:1 selection split (80/20), smooth.
-	if counts["fast"] <= 2*counts["slow"] {
-		t.Fatalf("fast member picked %d times vs slow %d, want a clear capacity split", counts["fast"], counts["slow"])
-	}
-	if counts["slow"] == 0 {
-		t.Fatal("slow member starved outright — the weight cap must keep it sampled")
+	if moved == 0 {
+		t.Fatal("the removed member owned none of 1000 keys")
 	}
 }
 
-func TestWeightedSelectorPrefersUntried(t *testing.T) {
-	a, b := &member{url: "a"}, &member{url: "b"}
-	tried := map[*member]bool{a: true}
-	s := &weightedSelector{}
-	if got := s.pick([]*member{a, b}, tried); got != b {
-		t.Fatalf("pick chose already-tried %q over fresh %q", got.url, b.url)
+func TestPlacementFavorsFastMembers(t *testing.T) {
+	fast := &member{url: "http://10.0.0.1:8080", ewma: time.Millisecond}
+	slowA := &member{url: "http://10.0.0.2:8080", ewma: 8 * time.Millisecond}
+	slowB := &member{url: "http://10.0.0.3:8080", ewma: 8 * time.Millisecond}
+	counts := map[string]int{}
+	for _, k := range placementKeys(1000) {
+		counts[place(k, []*member{fast, slowA, slowB})[0].url]++
+	}
+	// Weights 8:1:1 make the fast member own about four keys in five.
+	if counts[fast.url] <= counts[slowA.url]+counts[slowB.url] {
+		t.Fatalf("fast member owns %d keys against %d and %d, want a clear capacity split",
+			counts[fast.url], counts[slowA.url], counts[slowB.url])
+	}
+	if counts[slowA.url] == 0 || counts[slowB.url] == 0 {
+		t.Fatalf("a slow member owns no key (%v): the weight cap must keep it sampled", counts)
+	}
+}
+
+func TestPlacementIgnoresLatencyInsideDeadBand(t *testing.T) {
+	// Latency differences below weightRatioCap must not move any key:
+	// every move sends a repeat to a backend that lacks its bytes.
+	cold := []*member{{url: "http://10.0.0.1:8080"}, {url: "http://10.0.0.2:8080"}, {url: "http://10.0.0.3:8080"}}
+	warm := []*member{
+		{url: cold[0].url, ewma: time.Millisecond},
+		{url: cold[1].url, ewma: 3 * time.Millisecond},
+		{url: cold[2].url, ewma: 7 * time.Millisecond},
+	}
+	for _, k := range placementKeys(1000) {
+		if a, b := place(k, cold)[0].url, place(k, warm)[0].url; a != b {
+			t.Fatalf("key %s moved from %s to %s on latency inside the dead band", k, a, b)
+		}
+	}
+}
+
+func TestPlacementPicksByTier(t *testing.T) {
+	a := &member{url: "a"}
+	b := &member{url: "b"}
+	c := &member{url: "c"}
+	order := []*member{a, b, c}
+	cases := []struct {
+		name  string
+		tried map[*member]bool
+		down  []*member
+		want  *member
+	}{
+		{"owner first", nil, nil, a},
+		{"up and untried beats untried", nil, []*member{a}, b},
+		{"untried beats up", map[*member]bool{a: true, b: true}, []*member{c}, c},
+		{"up beats tried and down", map[*member]bool{a: true, b: true, c: true}, []*member{a}, b},
+		{"all tried and down falls back to the owner", map[*member]bool{a: true, b: true, c: true}, order, a},
+	}
+	for _, tc := range cases {
+		for _, m := range order {
+			m.downUntil = time.Time{}
+		}
+		for _, m := range tc.down {
+			m.downUntil = time.Now().Add(time.Hour)
+		}
+		if got := pick(order, tc.tried); got != tc.want {
+			t.Errorf("%s: pick chose %q, want %q", tc.name, got.url, tc.want.url)
+		}
 	}
 }
 

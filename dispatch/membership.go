@@ -7,7 +7,7 @@ package dispatch
 //
 // Draining is structural rather than stateful: sub-jobs hold *member
 // references, so removing a member from the set only removes it from
-// FUTURE selection — attempts already running against it finish (or
+// FUTURE placement — attempts already running against it finish (or
 // fail over) on their own, and the member is garbage once the last one
 // returns. There is nothing to flush and no stop-the-world barrier,
 // which is exactly what the determinism contract buys: a drained
@@ -22,8 +22,8 @@ import (
 )
 
 // member is one backend in the Pool's current view: its client, its
-// health mark, and the observed-capacity state the selector, planner
-// and hedger feed on.
+// health mark, and the observed-capacity state placement, the planner
+// and the hedger feed on.
 type member struct {
 	url string
 	c   *client.Client
@@ -33,17 +33,13 @@ type member struct {
 	wasDown   bool          // down since the last EWMA reset; cleared on recovery
 	ewma      time.Duration // per-trial completion latency EWMA (0 = no observation)
 
-	// credit is the member's smooth-weighted-round-robin balance; it is
-	// owned by the selector and only touched under the selector's lock.
-	credit float64
-
 	// inflight counts sub-job attempts currently running against this
 	// backend — the hedger's idleness signal.
 	inflight atomic.Int64
 }
 
 // markDown records a dispatch failure: the backend is skipped by
-// selection until the cooldown passes (it stays eligible as a last
+// placement until the cooldown passes (it stays eligible as a last
 // resort when every backend is down).
 func (m *member) markDown(cooldown time.Duration) {
 	m.mu.Lock()
@@ -53,7 +49,7 @@ func (m *member) markDown(cooldown time.Duration) {
 	mBackendsDown.Inc()
 }
 
-// up reports whether the backend is currently eligible for selection.
+// up reports whether the backend is currently eligible for placement.
 func (m *member) up() bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -142,7 +138,7 @@ func (ms *memberSet) snapshot() []*member {
 // refresh re-resolves the backend set: members whose URL is still
 // resolved are kept (health marks and EWMAs intact), resolved URLs
 // without a member are admitted as fresh joiners, and members whose URL
-// disappeared are dropped from selection — draining, per the package
+// disappeared are dropped from placement — draining, per the package
 // rationale above. A resolver returning an empty list is ignored: an
 // empty fleet is indistinguishable from a resolver outage, and keeping
 // the last known members beats dispatching into nothing.

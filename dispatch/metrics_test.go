@@ -19,8 +19,19 @@ import (
 )
 
 // scrapeCounter fetches base's /v1/metrics and returns the value of the
-// unlabeled series name.
+// series name (labels included, as the exposition prints them).
 func scrapeCounter(t *testing.T, base, name string) float64 {
+	t.Helper()
+	v, ok := scrapeSeries(t, base, name)
+	if !ok {
+		t.Fatalf("scrape of %s has no series %q", base, name)
+	}
+	return v
+}
+
+// scrapeSeries is scrapeCounter for series that may not exist yet:
+// ok is false when the scrape has no line for name.
+func scrapeSeries(t *testing.T, base, name string) (v float64, ok bool) {
 	t.Helper()
 	resp, err := http.Get(base + "/v1/metrics")
 	if err != nil {
@@ -37,11 +48,10 @@ func scrapeCounter(t *testing.T, base, name string) float64 {
 			if err != nil {
 				t.Fatalf("series %s has unparsable value %q", name, rest)
 			}
-			return v
+			return v, true
 		}
 	}
-	t.Fatalf("scrape of %s has no series %q", base, name)
-	return 0
+	return 0, false
 }
 
 func TestPoolFailoverCountersOnMetricsEndpoint(t *testing.T) {
@@ -56,7 +66,7 @@ func TestPoolFailoverCountersOnMetricsEndpoint(t *testing.T) {
 
 	pool := newPool(t, []string{dying.srv.URL, healthy.srv.URL}, dispatch.WithShardTrials(4))
 	ctx := context.Background()
-	req := estimateReq(40)
+	req := estimateReq(128)
 	want, err := faultroute.NewLocal().Do(ctx, req)
 	if err != nil {
 		t.Fatal(err)
@@ -69,8 +79,9 @@ func TestPoolFailoverCountersOnMetricsEndpoint(t *testing.T) {
 		t.Fatalf("post-failover bytes differ from local")
 	}
 
-	// 40 trials in shards of 4 is ten sub-jobs minimum; the dying
-	// backend forces at least one re-dispatch and one down-marking.
+	// 128 trials in shards of 4 is 32 sub-jobs minimum; the dying backend
+	// owns some of them (it misses all 32 with probability 2^-32) and so
+	// forces at least one re-dispatch and one down-marking.
 	if delta := scrapeCounter(t, healthy.srv.URL, "faultroute_dispatch_subjobs_total") - subBefore; delta < 10 {
 		t.Errorf("dispatch recorded %v sub-jobs, want >= 10", delta)
 	}

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"log"
@@ -26,6 +27,8 @@ func main() {
 	fmt.Println("M^2: Theorem 4 — probes per unit distance stay bounded for every p > 1/2")
 	fmt.Printf("%6s %6s %10s %12s %12s\n", "p", "dist", "pairs", "mean probes", "probes/dist")
 
+	lab := faultroute.NewLocal(faultroute.WithWorkers(1))
+	ctx := context.Background()
 	for _, p := range []float64{0.55, 0.8} {
 		for _, n := range []int{16, 32, 64} {
 			g, err := faultroute.NewMesh(2, n+margin)
@@ -47,7 +50,7 @@ func main() {
 				Router: faultroute.NewPathFollowRouter(),
 				Mode:   faultroute.ModeLocal,
 			}
-			c, err := faultroute.Estimate(spec, u, v, trials, 400, seed)
+			c, err := lab.Estimate(ctx, spec, u, v, trials, 400, seed)
 			if errors.Is(err, faultroute.ErrConditioning) {
 				fmt.Printf("%6.2f %6d %10s %12s %12s\n", p, n, "-", "-", "-")
 				continue

@@ -19,7 +19,8 @@
 //		Router: faultroute.NewPathFollowRouter(),
 //		Mode:   faultroute.ModeLocal,
 //	}
-//	c, _ := faultroute.Estimate(spec, 0, g.Antipode(0), 30, 100, 1)
+//	c, _ := faultroute.NewLocal(faultroute.WithWorkers(1)).
+//		Estimate(context.Background(), spec, 0, g.Antipode(0), 30, 100, 1)
 //	fmt.Printf("median probes: %v\n", c.Median)
 //
 // The package is a facade: the substance lives in the internal packages
@@ -37,13 +38,10 @@
 //
 // — or through faultroute/client against a faultrouted daemon; the two
 // are interchangeable implementations of api.Runner and return
-// byte-identical canonical results. The Estimate* free functions remain
-// as deprecated wrappers over Local for the pre-Runner call sites.
+// byte-identical canonical results.
 package faultroute
 
 import (
-	"context"
-
 	"faultroute/internal/core"
 	"faultroute/internal/exp"
 	"faultroute/internal/graph"
@@ -322,72 +320,13 @@ func Run(spec Spec, src, dst Vertex, seed uint64) (Outcome, error) {
 	return core.Run(spec, src, dst, seed)
 }
 
-// Estimate measures the routing-complexity distribution over `trials`
-// samples conditioned on {src ~ dst}; see core.Estimate. It is the
-// single-worker case of EstimateWorkers.
-//
-// Deprecated: use NewLocal(WithWorkers(1)).Estimate, or run wire specs
-// through Local.Do. The free function remains for compatibility and is
-// a thin wrapper with identical results.
-func Estimate(spec Spec, src, dst Vertex, trials, maxTries int, seed uint64) (Complexity, error) {
-	return NewLocal(WithWorkers(1)).Estimate(context.Background(), spec, src, dst, trials, maxTries, seed)
-}
-
-// EstimateWorkers is Estimate with its trials sharded across a worker
-// pool (workers <= 0 selects all cores). Results are bit-identical for
-// every workers value: each trial's randomness is split from (seed,
-// trial index), never from scheduling. See core.EstimateWorkers.
-//
-// Deprecated: use NewLocal(WithWorkers(workers)).Estimate. The free
-// function remains for compatibility and is a thin wrapper with
-// identical results.
-func EstimateWorkers(spec Spec, src, dst Vertex, trials, maxTries int, seed uint64, workers int) (Complexity, error) {
-	return NewLocal(WithWorkers(workers)).Estimate(context.Background(), spec, src, dst, trials, maxTries, seed)
-}
-
-// EstimateRequest is one Estimate submission within a batch.
+// EstimateRequest is one Local.EstimateBatch submission.
 type EstimateRequest = core.Request
 
 // Progress observes completed trials: the engine calls it with the
 // number of newly finished trials as a run advances. Hooks must be safe
 // for concurrent calls and never affect results — see runner.Progress.
 type Progress = runner.Progress
-
-// EstimateCtx is EstimateWorkers with cancellation and a progress hook:
-// the estimate aborts with ctx's error once ctx is done, and progress
-// (when non-nil) observes each completed trial. A run that completes is
-// bit-identical to Estimate. See core.EstimateCtx.
-//
-// Deprecated: use NewLocal(WithWorkers(workers),
-// WithProgress(progress)).Estimate. The free function remains for
-// compatibility and is a thin wrapper with identical results.
-func EstimateCtx(ctx context.Context, spec Spec, src, dst Vertex, trials, maxTries int, seed uint64, workers int, progress Progress) (Complexity, error) {
-	return NewLocal(WithWorkers(workers), WithProgress(progress)).Estimate(ctx, spec, src, dst, trials, maxTries, seed)
-}
-
-// EstimateBatchCtx is EstimateBatch with cancellation and a progress
-// hook, under the same contract as EstimateCtx. See
-// core.EstimateBatchCtx.
-//
-// Deprecated: use NewLocal(WithWorkers(workers),
-// WithProgress(progress)).EstimateBatch. The free function remains for
-// compatibility and is a thin wrapper with identical results.
-func EstimateBatchCtx(ctx context.Context, reqs []EstimateRequest, workers int, progress Progress) ([]Complexity, error) {
-	return NewLocal(WithWorkers(workers), WithProgress(progress)).EstimateBatch(ctx, reqs)
-}
-
-// EstimateBatch runs many estimates — a whole sweep of vertex pairs
-// and retention probabilities — through one shared worker pool, so the
-// pool stays saturated even when each request has few trials. Results
-// arrive in request order, bit-identical to estimating each request
-// separately. See core.EstimateBatch.
-//
-// Deprecated: use NewLocal(WithWorkers(workers)).EstimateBatch. The
-// free function remains for compatibility and is a thin wrapper with
-// identical results.
-func EstimateBatch(reqs []EstimateRequest, workers int) ([]Complexity, error) {
-	return NewLocal(WithWorkers(workers)).EstimateBatch(context.Background(), reqs)
-}
 
 // ValidatePath checks that path is a genuine open path of s from src to
 // dst.

@@ -72,7 +72,7 @@ type DiskOption func(*Disk)
 // file mtime at recovery, by write time afterwards — are removed, at
 // open and after every Put, and counted as evictions in Tiers. The
 // bound is capacity, not correctness: an evicted result just
-// recomputes (or peer-fills) on its next request.
+// recomputes on its next request.
 func WithDiskMaxBytes(n int64) DiskOption {
 	return func(d *Disk) { d.maxBytes = n }
 }

@@ -156,9 +156,8 @@ func (l *Local) run(ctx context.Context, req api.Request, onEvent func(api.Event
 
 // Estimate measures the routing-complexity distribution of a live Spec
 // (a constructed Graph and Router, not a wire spec) under the Local's
-// workers and progress configuration — the typed fast path the
-// deprecated Estimate* free functions wrap. A completed run is
-// bit-identical for every worker count.
+// workers and progress configuration — the typed fast path. A
+// completed run is bit-identical for every worker count.
 func (l *Local) Estimate(ctx context.Context, spec Spec, src, dst Vertex, trials, maxTries int, seed uint64) (Complexity, error) {
 	return core.EstimateCtx(ctx, spec, src, dst, trials, maxTries, seed, l.workers, l.progress)
 }

@@ -19,8 +19,8 @@ func estimateRequest(trials int) api.Request {
 
 func TestLocalDoMatchesDeprecatedEstimate(t *testing.T) {
 	// The wire path and the typed path must agree: Local.Do on a wire
-	// spec decodes to the numbers the (deprecated) Estimate free function
-	// computes for the equivalent live Spec.
+	// spec decodes to the numbers Local.Estimate computes for the
+	// equivalent live Spec.
 	res, err := faultroute.NewLocal().Do(context.Background(), estimateRequest(10))
 	if err != nil {
 		t.Fatal(err)
@@ -35,7 +35,7 @@ func TestLocalDoMatchesDeprecatedEstimate(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := faultroute.Spec{Graph: g, P: 0.7, Router: faultroute.NewPathFollowRouter()}
-	c, err := faultroute.Estimate(spec, 0, g.Antipode(0), 10, 100, 3)
+	c, err := faultroute.NewLocal(faultroute.WithWorkers(1)).Estimate(context.Background(), spec, 0, g.Antipode(0), 10, 100, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -172,6 +172,11 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, api.ErrorBody{Error: fmt.Sprintf(format, args...)})
 }
 
+// maxSubmitBytes bounds a submission body. A real request is a spec of
+// a few hundred bytes; the bound only stops a client from streaming an
+// unbounded body into the daemon's memory. Larger bodies answer 413.
+const maxSubmitBytes = 1 << 20
+
 // handleSubmit compiles the submitted request (normalization + content
 // address + task) and either coalesces onto existing work or enqueues a
 // fresh job. The compiled task is wrapped so every executed job feeds
@@ -183,9 +188,14 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 // pre-encoded response is served without decoding the body or taking
 // the engine lock at all. See memo.go.
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(r.Body)
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
 	if err != nil {
 		s.metrics.submitted.With("invalid").Inc()
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeError(w, http.StatusRequestEntityTooLarge, "job request exceeds %d bytes", maxSubmitBytes)
+			return
+		}
 		writeError(w, http.StatusBadRequest, "reading job request: %v", err)
 		return
 	}

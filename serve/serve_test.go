@@ -358,6 +358,33 @@ func TestBadSubmissions(t *testing.T) {
 	}
 }
 
+func TestOversizedSubmitGets413(t *testing.T) {
+	svc := serve.New(serve.Options{Workers: 1, Executors: 1})
+	t.Cleanup(svc.Close)
+	ts := httptest.NewServer(svc.Handler())
+	t.Cleanup(ts.Close)
+
+	// A valid request padded past the body bound: only the size is wrong.
+	spec := `{"kind":"estimate","estimate":{"graph":{"family":"hypercube","n":4},"p":0.7,"trials":2,"seed":1}}`
+	huge := spec + strings.Repeat(" ", 2<<20)
+	var e api.ErrorBody
+	if code := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", huge, &e); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized submit: status %d, want 413", code)
+	}
+	if e.Error == "" {
+		t.Fatal("oversized submit: no error message")
+	}
+	// The service still takes a normal submission afterwards.
+	var sub api.SubmitResponse
+	if code := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", spec, &sub); code != http.StatusAccepted {
+		t.Fatalf("submit after the oversized one: status %d, want 202", code)
+	}
+	if st := awaitJob(t, ts.URL, sub.Job.ID); st.State != api.JobDone {
+		t.Fatalf("job after the oversized submit finished %s (%s)", st.State, st.Error)
+	}
+	wantLine(t, scrape(t, ts.URL), `faultroute_jobs_submitted_total{outcome="invalid"} 1`)
+}
+
 func TestHealthz(t *testing.T) {
 	ts := newTestServer(t, 1)
 	var h api.Health
