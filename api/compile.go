@@ -464,7 +464,7 @@ func normalizeEstimate(es EstimateSpec, workers int) (EstimateSpec, int64, Task,
 		norm.Shard = &shard
 		n := norm
 		task := func(ctx context.Context, progress func(delta int)) ([]byte, error) {
-			rows, err := core.EstimateShardCtx(ctx, spec, src, dst,
+			rows, err := core.EstimateRange(ctx, spec, src, dst,
 				shard.Offset, shard.Count, n.MaxTries, n.Seed, workers, runner.Progress(progress))
 			if err != nil {
 				return nil, err
@@ -479,7 +479,11 @@ func normalizeEstimate(es EstimateSpec, workers int) (EstimateSpec, int64, Task,
 	}
 	n := norm // capture the canonical spec, not the submission
 	task := func(ctx context.Context, progress func(delta int)) ([]byte, error) {
-		c, err := core.EstimateCtx(ctx, spec, src, dst, n.Trials, n.MaxTries, n.Seed, workers, runner.Progress(progress))
+		rows, err := core.EstimateRange(ctx, spec, src, dst, 0, n.Trials, n.MaxTries, n.Seed, workers, runner.Progress(progress))
+		if err != nil {
+			return nil, err
+		}
+		c, err := core.MergeTrials(rows)
 		if err != nil {
 			return nil, err
 		}
@@ -621,7 +625,7 @@ func normalizePercolation(ps PercolationSpec, workers int) (PercolationSpec, int
 	n := norm
 	task := func(ctx context.Context, progress func(delta int)) ([]byte, error) {
 		if n.Clusters {
-			rows, err := percolation.ClusterScanSampledCtx(ctx, g, n.Ps, n.Trials, n.Seed, workers, progress, newSample)
+			rows, err := percolation.ClusterScan(ctx, g, n.Ps, n.Trials, n.Seed, workers, progress, newSample)
 			if err != nil {
 				return nil, err
 			}
@@ -631,7 +635,7 @@ func normalizePercolation(ps PercolationSpec, workers int) (PercolationSpec, int
 			}
 			return encodeResult(ClusterResult{Rows: out})
 		}
-		rows, err := percolation.GiantScanSampledCtx(ctx, g, n.Ps, n.Trials, n.Seed, workers, progress, newSample)
+		rows, err := percolation.GiantScan(ctx, g, n.Ps, n.Trials, n.Seed, workers, progress, newSample)
 		if err != nil {
 			return nil, err
 		}

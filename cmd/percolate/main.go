@@ -184,7 +184,7 @@ func findThreshold(ctx context.Context, g faultroute.Graph, family string, trial
 		}
 		desc = fmt.Sprintf("connection of vertices %d and %d", u, v)
 	}
-	pc, err := percolation.FindThresholdCtx(ctx, 0.01, 0.99, 0.5, 0.005, trials*20, seed, workers, nil, event)
+	pc, err := percolation.FindThreshold(ctx, 0.01, 0.99, 0.5, 0.005, trials*20, seed, workers, nil, event)
 	if err != nil {
 		return err
 	}

@@ -9,10 +9,11 @@
 //
 //  1. The merged bytes are identical to an in-process faultroute.Local
 //     run of the same request — at any backend count and shard layout.
+//
 //  2. Killing a backend mid-run only costs time: the lost shards are
 //     re-dispatched to the survivors and the bytes still match.
 //
-//	go run ./examples/distributed
+//     go run ./examples/distributed
 package main
 
 import (

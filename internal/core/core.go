@@ -25,9 +25,10 @@ import (
 	"faultroute/internal/stats"
 )
 
-// ErrConditioning is returned by Estimate when the conditioning event
-// {src ~ dst} did not occur within the per-trial retry budget — the pair
-// is essentially never connected at these parameters.
+// ErrConditioning is returned by EstimateRange and EstimateBatch when
+// the conditioning event {src ~ dst} did not occur within the per-trial
+// retry budget — the pair is essentially never connected at these
+// parameters.
 var ErrConditioning = errors.New("core: conditioning failed ({src ~ dst} too rare at these parameters)")
 
 // Mode selects the query model of Definition 1.
@@ -261,68 +262,51 @@ func MergeTrials(results []TrialResult) (Complexity, error) {
 	return out, nil
 }
 
-// Estimate measures the routing complexity of spec between src and dst
-// over `trials` percolation samples conditioned on {src ~ dst}, exactly
-// as Definition 2 prescribes. Conditioning uses an exact cluster search
-// and therefore requires a finite (labelable) graph; maxTries bounds the
-// rejection sampling per trial.
+// EstimateRange computes the raw per-trial results of trials
+// [offset, offset+count) of the routing-complexity estimate of spec
+// between src and dst, conditioned on {src ~ dst} exactly as
+// Definition 2 prescribes. Conditioning uses an exact cluster search and
+// therefore requires a finite (labelable) graph; maxTries bounds the
+// rejection sampling per trial (<= 0 selects 100).
 //
-// Estimate is the single-worker case of EstimateWorkers; both produce
-// bit-identical results for the same arguments.
-func Estimate(spec Spec, src, dst graph.Vertex, trials, maxTries int, seed uint64) (Complexity, error) {
-	return EstimateWorkers(spec, src, dst, trials, maxTries, seed, 1)
-}
-
-// EstimateWorkers is Estimate with its trials sharded across a worker
-// pool. Each trial's randomness is split from (seed, trial index), so
-// the returned Complexity is bit-identical for every workers value;
-// workers only sets the concurrency (<= 0 selects all cores).
-func EstimateWorkers(spec Spec, src, dst graph.Vertex, trials, maxTries int, seed uint64, workers int) (Complexity, error) {
-	return EstimateCtx(context.Background(), spec, src, dst, trials, maxTries, seed, workers, nil)
-}
-
-// EstimateCtx is EstimateWorkers with cancellation and a progress hook:
-// the estimate aborts with ctx's error once ctx is done (cancel or
-// deadline), and progress — when non-nil — observes each completed
-// trial. Neither affects the numbers: a run that completes is
-// bit-identical to Estimate with the same arguments.
-func EstimateCtx(ctx context.Context, spec Spec, src, dst graph.Vertex, trials, maxTries int, seed uint64, workers int, progress runner.Progress) (Complexity, error) {
-	results, err := EstimateShardCtx(ctx, spec, src, dst, 0, trials, maxTries, seed, workers, progress)
+// Trial number offset+i derives its randomness from (seed, offset+i),
+// so the rows are bit-identical for every workers value (<= 0 selects
+// all cores) and for every way of cutting [0, trials) into ranges: a
+// single estimate is MergeTrials over the range [0, trials), and a
+// distributed runner fans disjoint ranges out to different machines and
+// folds them back with MergeTrials into the same bytes. A done ctx
+// aborts the range with ctx's error; progress — when non-nil — observes
+// each completed trial. Neither affects the numbers.
+func EstimateRange(ctx context.Context, spec Spec, src, dst graph.Vertex, offset, count, maxTries int, seed uint64, workers int, progress runner.Progress) ([]TrialResult, error) {
+	maxTries, err := checkRange(spec, offset, count, maxTries)
 	if err != nil {
-		return Complexity{}, err
-	}
-	return MergeTrials(results)
-}
-
-// EstimateShardCtx computes the raw per-trial results of trials
-// [offset, offset+count) of the estimate that EstimateCtx(spec, src,
-// dst, trials, ...) runs over [0, trials). Trial number offset+i still
-// derives its randomness from (seed, offset+i), so the rows returned
-// here are exactly the rows a full run would produce for the same
-// indices — which is what lets a distributed runner fan disjoint ranges
-// out to different machines and fold them back with MergeTrials into a
-// result bit-identical to a single-machine run. count bounds the work of
-// THIS call; the caller owns the overall schedule.
-func EstimateShardCtx(ctx context.Context, spec Spec, src, dst graph.Vertex, offset, count, maxTries int, seed uint64, workers int, progress runner.Progress) ([]TrialResult, error) {
-	if err := spec.validate(); err != nil {
 		return nil, err
 	}
-	if offset < 0 {
-		return nil, errors.New("core: trial offset must be non-negative")
-	}
-	if count <= 0 {
-		return nil, errors.New("core: trials must be positive")
-	}
-	if maxTries <= 0 {
-		maxTries = 100
-	}
-	return runner.MapCtx(ctx, runner.New(workers), count, progress, func(i int) (TrialResult, error) {
+	return runner.Map(ctx, workers, count, progress, func(i int) (TrialResult, error) {
 		r := EstimateTrial(spec, src, dst, offset+i, maxTries, seed)
 		return r, r.Err
 	})
 }
 
-// Request is one Estimate submission within a batch: a spec, a vertex
+// checkRange validates one EstimateRange call and returns its effective
+// per-trial retry budget.
+func checkRange(spec Spec, offset, count, maxTries int) (int, error) {
+	if err := spec.validate(); err != nil {
+		return 0, err
+	}
+	if offset < 0 {
+		return 0, errors.New("core: trial offset must be non-negative")
+	}
+	if count <= 0 {
+		return 0, errors.New("core: trials must be positive")
+	}
+	if maxTries <= 0 {
+		maxTries = 100
+	}
+	return maxTries, nil
+}
+
+// Request is one estimate submission within a batch: a spec, a vertex
 // pair, and the trial schedule, carrying its own seed so batch layout
 // never affects results.
 type Request struct {
@@ -338,36 +322,27 @@ type Request struct {
 // trials of all requests are flattened into a single work queue, so the
 // pool stays saturated even when each individual request has only a few
 // trials. Results arrive in request order and are bit-identical to
-// calling Estimate on each request separately.
-func EstimateBatch(reqs []Request, workers int) ([]Complexity, error) {
-	return EstimateBatchCtx(context.Background(), reqs, workers, nil)
-}
-
-// EstimateBatchCtx is EstimateBatch with cancellation and a progress
-// hook, sharing the contract of EstimateCtx: ctx done aborts the whole
-// batch, progress observes completed trials across all requests, and a
-// batch that completes is bit-identical to EstimateBatch.
-func EstimateBatchCtx(ctx context.Context, reqs []Request, workers int, progress runner.Progress) ([]Complexity, error) {
+// merging EstimateRange over [0, Trials) for each request separately.
+// ctx and progress share EstimateRange's contract: a done ctx aborts the
+// whole batch, and progress observes completed trials across all
+// requests.
+func EstimateBatch(ctx context.Context, reqs []Request, workers int, progress runner.Progress) ([]Complexity, error) {
 	offsets := make([]int, len(reqs)+1)
+	maxTries := make([]int, len(reqs))
 	for i, r := range reqs {
-		if err := r.Spec.validate(); err != nil {
+		m, err := checkRange(r.Spec, 0, r.Trials, r.MaxTries)
+		if err != nil {
 			return nil, err
 		}
-		if r.Trials <= 0 {
-			return nil, errors.New("core: trials must be positive")
-		}
+		maxTries[i] = m
 		offsets[i+1] = offsets[i] + r.Trials
 	}
 	total := offsets[len(reqs)]
-	results, err := runner.MapCtx(ctx, runner.New(workers), total, progress, func(flat int) (TrialResult, error) {
+	results, err := runner.Map(ctx, workers, total, progress, func(flat int) (TrialResult, error) {
 		// Locate the request owning this flat index.
 		ri := sort.Search(len(reqs), func(i int) bool { return offsets[i+1] > flat })
 		req := reqs[ri]
-		maxTries := req.MaxTries
-		if maxTries <= 0 {
-			maxTries = 100
-		}
-		r := EstimateTrial(req.Spec, req.Src, req.Dst, flat-offsets[ri], maxTries, req.Seed)
+		r := EstimateTrial(req.Spec, req.Src, req.Dst, flat-offsets[ri], maxTries[ri], req.Seed)
 		return r, r.Err
 	})
 	if err != nil {

@@ -105,7 +105,7 @@ func TestRunDeterministicInSeed(t *testing.T) {
 func TestEstimateConditionsOnConnectivity(t *testing.T) {
 	g := graph.MustMesh(2, 8)
 	spec := Spec{Graph: g, P: 0.55, Router: route.NewPathFollow(), Mode: ModeLocal}
-	c, err := Estimate(spec, 0, graph.Vertex(g.Order()-1), 10, 200, 5)
+	c, err := estimate(spec, 0, graph.Vertex(g.Order()-1), 10, 200, 5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestEstimateConditionsOnConnectivity(t *testing.T) {
 func TestEstimateCensoredRuns(t *testing.T) {
 	g := graph.MustHypercube(8)
 	spec := Spec{Graph: g, P: 1, Router: route.NewBFSLocal(), Mode: ModeLocal, Budget: 3}
-	c, err := Estimate(spec, 0, g.Antipode(0), 5, 10, 1)
+	c, err := estimate(spec, 0, g.Antipode(0), 5, 10, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestEstimateCensoredRuns(t *testing.T) {
 func TestEstimateFailsWhenConditioningImpossible(t *testing.T) {
 	g := graph.MustRing(10)
 	spec := Spec{Graph: g, P: 0, Router: route.NewBFSLocal(), Mode: ModeLocal}
-	if _, err := Estimate(spec, 0, 5, 3, 5, 1); err == nil {
+	if _, err := estimate(spec, 0, 5, 3, 5, 1, 1); err == nil {
 		t.Fatal("conditioning on an impossible event succeeded")
 	}
 }
@@ -144,7 +144,7 @@ func TestEstimateFailsWhenConditioningImpossible(t *testing.T) {
 func TestEstimateValidation(t *testing.T) {
 	g := graph.MustRing(10)
 	spec := Spec{Graph: g, P: 1, Router: route.NewBFSLocal(), Mode: ModeLocal}
-	if _, err := Estimate(spec, 0, 5, 0, 5, 1); err == nil {
+	if _, err := estimate(spec, 0, 5, 0, 5, 1, 1); err == nil {
 		t.Fatal("zero trials accepted")
 	}
 }

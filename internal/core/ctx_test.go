@@ -3,39 +3,15 @@ package core
 import (
 	"context"
 	"errors"
-	"reflect"
 	"sync/atomic"
 	"testing"
 )
-
-// TestEstimateCtxMatchesEstimateWorkers pins the ctx variant as a pure
-// superset: background context + nil progress must not perturb a single
-// bit of the Complexity.
-func TestEstimateCtxMatchesEstimateWorkers(t *testing.T) {
-	spec, src, dst := parallelTestSpec(t)
-	want, err := EstimateWorkers(spec, src, dst, 12, 100, 5, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var done atomic.Int64
-	got, err := EstimateCtx(context.Background(), spec, src, dst, 12, 100, 5, 3,
-		func(delta int) { done.Add(int64(delta)) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("EstimateCtx differs from EstimateWorkers:\n%+v\n%+v", want, got)
-	}
-	if done.Load() != 12 {
-		t.Fatalf("progress counted %d trials, want 12", done.Load())
-	}
-}
 
 func TestEstimateCtxCanceled(t *testing.T) {
 	spec, src, dst := parallelTestSpec(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := EstimateCtx(ctx, spec, src, dst, 50, 100, 1, 2, nil)
+	_, err := EstimateRange(ctx, spec, src, dst, 0, 50, 100, 1, 2, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -48,7 +24,7 @@ func TestEstimateBatchCtxCanceledAndProgress(t *testing.T) {
 		{Spec: spec, Src: src, Dst: dst, Trials: 6, MaxTries: 100, Seed: 3},
 	}
 	var done atomic.Int64
-	got, err := EstimateBatchCtx(context.Background(), reqs, 4,
+	got, err := EstimateBatch(context.Background(), reqs, 4,
 		func(delta int) { done.Add(int64(delta)) })
 	if err != nil {
 		t.Fatal(err)
@@ -61,7 +37,7 @@ func TestEstimateBatchCtxCanceledAndProgress(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := EstimateBatchCtx(ctx, reqs, 4, nil); !errors.Is(err, context.Canceled) {
+	if _, err := EstimateBatch(ctx, reqs, 4, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"testing"
@@ -24,17 +25,27 @@ func parallelTestSpec(t *testing.T) (Spec, graph.Vertex, graph.Vertex) {
 	return spec, 0, g.Antipode(0)
 }
 
+// estimate is one whole estimate the way every single-estimate caller
+// runs it: EstimateRange over [0, trials), folded with MergeTrials.
+func estimate(spec Spec, src, dst graph.Vertex, trials, maxTries int, seed uint64, workers int) (Complexity, error) {
+	rows, err := EstimateRange(context.Background(), spec, src, dst, 0, trials, maxTries, seed, workers, nil)
+	if err != nil {
+		return Complexity{}, err
+	}
+	return MergeTrials(rows)
+}
+
 // TestEstimateWorkersDeterministic is the engine's core guarantee: the
 // Complexity from a parallel run is bit-identical to the sequential
 // (Workers=1) path for the same seed, for any worker count.
 func TestEstimateWorkersDeterministic(t *testing.T) {
 	spec, src, dst := parallelTestSpec(t)
-	seq, err := EstimateWorkers(spec, src, dst, 24, 100, 7, 1)
+	seq, err := estimate(spec, src, dst, 24, 100, 7, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 3, 8} {
-		par, err := EstimateWorkers(spec, src, dst, 24, 100, 7, workers)
+		par, err := estimate(spec, src, dst, 24, 100, 7, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -42,23 +53,6 @@ func TestEstimateWorkersDeterministic(t *testing.T) {
 			t.Fatalf("workers=%d produced a different Complexity:\nseq: %+v\npar: %+v",
 				workers, seq, par)
 		}
-	}
-}
-
-// TestEstimateMatchesEstimateWorkers pins Estimate as the Workers=1
-// case of the engine.
-func TestEstimateMatchesEstimateWorkers(t *testing.T) {
-	spec, src, dst := parallelTestSpec(t)
-	a, err := Estimate(spec, src, dst, 10, 100, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := EstimateWorkers(spec, src, dst, 10, 100, 3, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("Estimate != EstimateWorkers(8):\n%+v\n%+v", a, b)
 	}
 }
 
@@ -73,14 +67,14 @@ func TestEstimateBatchMatchesSeparateCalls(t *testing.T) {
 		s := spec
 		s.P = p
 		reqs[i] = Request{Spec: s, Src: src, Dst: dst, Trials: 8, MaxTries: 100, Seed: 11}
-		c, err := Estimate(s, src, dst, 8, 100, 11)
+		c, err := estimate(s, src, dst, 8, 100, 11, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want[i] = c
 	}
 	for _, workers := range []int{1, 4} {
-		got, err := EstimateBatch(reqs, workers)
+		got, err := EstimateBatch(context.Background(), reqs, workers, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,13 +87,13 @@ func TestEstimateBatchMatchesSeparateCalls(t *testing.T) {
 
 func TestEstimateBatchValidates(t *testing.T) {
 	spec, src, dst := parallelTestSpec(t)
-	if _, err := EstimateBatch([]Request{{Spec: spec, Src: src, Dst: dst, Trials: 0}}, 2); err == nil {
+	if _, err := EstimateBatch(context.Background(), []Request{{Spec: spec, Src: src, Dst: dst, Trials: 0}}, 2, nil); err == nil {
 		t.Fatal("zero trials accepted")
 	}
-	if _, err := EstimateBatch([]Request{{Trials: 5}}, 2); err == nil {
+	if _, err := EstimateBatch(context.Background(), []Request{{Trials: 5}}, 2, nil); err == nil {
 		t.Fatal("empty spec accepted")
 	}
-	if out, err := EstimateBatch(nil, 2); err != nil || len(out) != 0 {
+	if out, err := EstimateBatch(nil, nil, 2, nil); err != nil || len(out) != 0 {
 		t.Fatalf("empty batch = (%v, %v)", out, err)
 	}
 }
@@ -109,8 +103,8 @@ func TestEstimateBatchValidates(t *testing.T) {
 func TestEstimateWorkersConditioningError(t *testing.T) {
 	spec, src, dst := parallelTestSpec(t)
 	spec.P = 0.01 // deep subcritical: {src ~ dst} essentially never happens
-	for _, workers := range []int{1, 8} {
-		_, err := EstimateWorkers(spec, src, dst, 6, 5, 1, workers)
+	for _, workers := range []int{1, 2, 8} {
+		_, err := estimate(spec, src, dst, 6, 5, 1, workers)
 		if !errors.Is(err, ErrConditioning) {
 			t.Fatalf("workers=%d: err = %v, want ErrConditioning", workers, err)
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"faultroute/internal/graph"
@@ -28,7 +29,7 @@ func TestEstimateShardCtxCoversFullRange(t *testing.T) {
 	const trials, seed = 24, uint64(7)
 	ctx := context.Background()
 
-	want, err := EstimateCtx(ctx, spec, src, dst, trials, 100, seed, 3, nil)
+	want, err := estimate(spec, src, dst, trials, 100, seed, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +37,7 @@ func TestEstimateShardCtxCoversFullRange(t *testing.T) {
 	for _, cuts := range [][]int{{0, 24}, {0, 1, 24}, {0, 7, 13, 24}, {0, 23, 24}} {
 		var all []TrialResult
 		for i := 0; i+1 < len(cuts); i++ {
-			part, err := EstimateShardCtx(ctx, spec, src, dst, cuts[i], cuts[i+1]-cuts[i], 100, seed, 2, nil)
+			part, err := EstimateRange(ctx, spec, src, dst, cuts[i], cuts[i+1]-cuts[i], 100, seed, 2, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -54,12 +55,18 @@ func TestEstimateShardCtxCoversFullRange(t *testing.T) {
 
 func TestEstimateShardCtxMatchesTrialByTrial(t *testing.T) {
 	// A shard's row i must be EstimateTrial(offset+i): shard position
-	// never leaks into a trial's randomness.
+	// never leaks into a trial's randomness. Progress observes every
+	// trial of the range.
 	spec, src, dst := shardSpec(t)
 	const seed = uint64(11)
-	rows, err := EstimateShardCtx(context.Background(), spec, src, dst, 5, 4, 100, seed, 1, nil)
+	var done atomic.Int64
+	rows, err := EstimateRange(context.Background(), spec, src, dst, 5, 4, 100, seed, 2,
+		func(delta int) { done.Add(int64(delta)) })
 	if err != nil {
 		t.Fatal(err)
+	}
+	if done.Load() != 4 {
+		t.Fatalf("progress counted %d trials, want 4", done.Load())
 	}
 	for i, got := range rows {
 		want := EstimateTrial(spec, src, dst, 5+i, 100, seed)
@@ -72,10 +79,10 @@ func TestEstimateShardCtxMatchesTrialByTrial(t *testing.T) {
 func TestEstimateShardCtxRejectsBadRanges(t *testing.T) {
 	spec, src, dst := shardSpec(t)
 	ctx := context.Background()
-	if _, err := EstimateShardCtx(ctx, spec, src, dst, -1, 3, 100, 1, 1, nil); err == nil {
+	if _, err := EstimateRange(ctx, spec, src, dst, -1, 3, 100, 1, 1, nil); err == nil {
 		t.Fatal("negative offset accepted")
 	}
-	if _, err := EstimateShardCtx(ctx, spec, src, dst, 0, 0, 100, 1, 1, nil); err == nil {
+	if _, err := EstimateRange(ctx, spec, src, dst, 0, 0, 100, 1, 1, nil); err == nil {
 		t.Fatal("zero count accepted")
 	}
 }

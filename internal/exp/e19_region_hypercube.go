@@ -48,7 +48,11 @@ func runE19(cfg Config) (*Table, error) {
 		for mi, fault := range faults {
 			spec := core.Spec{Graph: g, P: p, Router: route.NewPathFollow(), Fault: fault}
 			seed := rng.Combine(cfg.Seed, uint64(ri)<<8|uint64(mi))
-			c, err := core.EstimateCtx(cfg.Context, spec, u, v, trials, 400, seed, cfg.Workers, runner.Progress(cfg.Progress))
+			results, err := core.EstimateRange(cfg.Context, spec, u, v, 0, trials, 400, seed, cfg.Workers, runner.Progress(cfg.Progress))
+			var c core.Complexity
+			if err == nil {
+				c, err = core.MergeTrials(results)
+			}
 			if err != nil {
 				return nil, fmt.Errorf("E19: radius %d model %s: %w", radius, fault.Model, err)
 			}

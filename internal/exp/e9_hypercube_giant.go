@@ -32,7 +32,7 @@ func runE9(cfg Config) (*Table, error) {
 	for i, c := range cs {
 		ps[i] = c / float64(n)
 	}
-	statsRows, err := percolation.GiantScanCtx(cfg.Context, g, ps, trials, cfg.Seed, cfg.workers(), cfg.Progress)
+	statsRows, err := percolation.GiantScan(cfg.Context, g, ps, trials, cfg.Seed, cfg.Workers, cfg.Progress, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -2,14 +2,6 @@ package exp
 
 import "faultroute/internal/runner"
 
-// workers resolves Config.Workers: non-positive means all cores.
-func (c Config) workers() int {
-	if c.Workers > 0 {
-		return c.Workers
-	}
-	return runner.DefaultWorkers()
-}
-
 // parTrials runs fn(trial) for trial in [0, trials) across the config's
 // worker budget and returns the per-trial results in trial order.
 //
@@ -20,5 +12,5 @@ func (c Config) workers() int {
 // ordered results exactly as the old sequential loop did — so tables
 // are bit-identical for every worker count.
 func parTrials[T any](cfg Config, trials int, fn func(trial int) (T, error)) ([]T, error) {
-	return runner.MapCtx(cfg.Context, runner.New(cfg.workers()), trials, runner.Progress(cfg.Progress), fn)
+	return runner.Map(cfg.Context, cfg.Workers, trials, runner.Progress(cfg.Progress), fn)
 }

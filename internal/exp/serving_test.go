@@ -76,7 +76,7 @@ func TestInfosSchema(t *testing.T) {
 func TestConfigContextCancelsRun(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, id := range []string{"E1", "E9"} { // E9 exercises the GiantScanCtx path
+	for _, id := range []string{"E1", "E9"} { // E9 exercises the GiantScan path
 		e, err := ByID(id)
 		if err != nil {
 			t.Fatal(err)

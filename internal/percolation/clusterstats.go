@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"faultroute/internal/graph"
-	"faultroute/internal/rng"
 	"faultroute/internal/runner"
 )
 
@@ -75,41 +74,18 @@ func (st ClusterStats) HistogramRows() [][2]uint64 {
 }
 
 // ClusterScan averages cluster statistics over `trials` samples at each
-// p; the susceptibility column peaking at criticality is how one reads
-// the threshold off finite data.
-func ClusterScan(g graph.Graph, ps []float64, trials int, baseSeed uint64) ([]ClusterStats, error) {
-	return ClusterScanWorkers(g, ps, trials, baseSeed, 1)
-}
-
-// ClusterScanWorkers is ClusterScan with every (row, trial) sample
-// sharded across one worker pool — a single-p sweep with many trials
-// saturates the pool just as well as a many-p sweep. Sample seeds are
-// split from (baseSeed, row index, trial) exactly as in the sequential
-// scan, and per-row folds run in trial order, so results are
-// bit-identical for every workers value.
-func ClusterScanWorkers(g graph.Graph, ps []float64, trials int, baseSeed uint64, workers int) ([]ClusterStats, error) {
-	return ClusterScanCtx(context.Background(), g, ps, trials, baseSeed, workers, nil)
-}
-
-// ClusterScanCtx is ClusterScanWorkers with cancellation and a progress
-// hook: a done ctx aborts the scan with ctx's error, progress — when
-// non-nil — observes each labeled sample, and a completed scan is
-// bit-identical to ClusterScanWorkers.
-func ClusterScanCtx(ctx context.Context, g graph.Graph, ps []float64, trials int, baseSeed uint64, workers int, progress runner.Progress) ([]ClusterStats, error) {
-	return ClusterScanSampledCtx(ctx, g, ps, trials, baseSeed, workers, progress, defaultFactory(g))
-}
-
-// ClusterScanSampledCtx is ClusterScanCtx with every cell's sample built
-// by newSample instead of plain bond percolation — the failure-model
-// hook, mirroring GiantScanSampledCtx. Cell seeds are split exactly as
-// in ClusterScanCtx.
-func ClusterScanSampledCtx(ctx context.Context, g graph.Graph, ps []float64, trials int, baseSeed uint64, workers int, progress runner.Progress, newSample SampleFactory) ([]ClusterStats, error) {
+// p, each built by newSample (nil means plain bond percolation); the
+// susceptibility column peaking at criticality is how one reads the
+// threshold off finite data. Sharding, seeding, cancellation and
+// progress follow GiantScan, so results are bit-identical for every
+// workers value.
+func ClusterScan(ctx context.Context, g graph.Graph, ps []float64, trials int, baseSeed uint64, workers int, progress runner.Progress, newSample SampleFactory) ([]ClusterStats, error) {
 	if trials <= 0 {
 		return nil, fmt.Errorf("percolation: cluster scan needs positive trials, got %d", trials)
 	}
-	samples, err := runner.MapCtx(ctx, runner.New(workers), len(ps)*trials, progress, func(flat int) (ClusterStats, error) {
+	samples, err := runner.Map(ctx, workers, len(ps)*trials, progress, func(flat int) (ClusterStats, error) {
 		row, t := flat/trials, flat%trials
-		s, release := newSample(ps[row], rng.Combine(baseSeed, uint64(row)<<32|uint64(t)))
+		s, release := scanCell(g, newSample, ps[row], baseSeed, row, t)
 		if release != nil {
 			defer release()
 		}

@@ -1,6 +1,7 @@
 package percolation
 
 import (
+	"context"
 	"testing"
 
 	"faultroute/internal/graph"
@@ -75,7 +76,7 @@ func TestClusterScanSusceptibilityPeaksNearCriticality(t *testing.T) {
 	// On M^2 the susceptibility (giant excluded) peaks around p = 1/2.
 	g := graph.MustMesh(2, 24)
 	ps := []float64{0.30, 0.50, 0.75}
-	stats, err := ClusterScan(g, ps, 8, 3)
+	stats, err := ClusterScan(context.Background(), g, ps, 8, 3, 1, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +91,7 @@ func TestClusterScanSusceptibilityPeaksNearCriticality(t *testing.T) {
 
 func TestClusterScanValidation(t *testing.T) {
 	g := graph.MustRing(8)
-	if _, err := ClusterScan(g, []float64{0.5}, 0, 1); err == nil {
+	if _, err := ClusterScan(context.Background(), g, []float64{0.5}, 0, 1, 1, nil, nil); err == nil {
 		t.Fatal("zero trials accepted")
 	}
 }

@@ -15,30 +15,18 @@ import (
 var ErrBadBracket = errors.New("percolation: threshold target not bracketed")
 
 // EventProbability estimates Pr[event] by Monte Carlo over `trials`
-// independent seeds derived from baseSeed. The event receives the trial
-// seed and must be deterministic in it.
-func EventProbability(trials int, baseSeed uint64, event func(seed uint64) bool) float64 {
-	return EventProbabilityWorkers(trials, baseSeed, 1, event)
-}
-
-// EventProbabilityWorkers is EventProbability with the trials sharded
-// across a worker pool. Each trial's seed is split from (baseSeed,
-// trial), so the estimate is identical for every workers value; the
-// event must be safe for concurrent calls when workers > 1.
-func EventProbabilityWorkers(trials int, baseSeed uint64, workers int, event func(seed uint64) bool) float64 {
-	prob, _ := EventProbabilityCtx(context.Background(), trials, baseSeed, workers, nil, event)
-	return prob
-}
-
-// EventProbabilityCtx is EventProbabilityWorkers with cancellation and a
-// progress hook: a done ctx aborts the estimate with ctx's error, and
-// progress — when non-nil — observes each completed trial. A run that
-// completes is identical to EventProbabilityWorkers.
-func EventProbabilityCtx(ctx context.Context, trials int, baseSeed uint64, workers int, progress runner.Progress, event func(seed uint64) bool) (float64, error) {
+// independent seeds derived from baseSeed; trials <= 0 estimates 0. The
+// event receives the trial seed and must be deterministic in it. Each
+// trial's seed is split from (baseSeed, trial), so the estimate is
+// identical for every workers value (<= 0 selects all cores); the event
+// must be safe for concurrent calls when more than one worker runs. A
+// done ctx aborts the estimate with ctx's error, and progress — when
+// non-nil — observes each completed trial.
+func EventProbability(ctx context.Context, trials int, baseSeed uint64, workers int, progress runner.Progress, event func(seed uint64) bool) (float64, error) {
 	if trials <= 0 {
 		return 0, nil
 	}
-	hitFlags, err := runner.MapCtx(ctx, runner.New(workers), trials, progress, func(t int) (bool, error) {
+	hitFlags, err := runner.Map(ctx, workers, trials, progress, func(t int) (bool, error) {
 		return event(rng.Combine(baseSeed, uint64(t))), nil
 	})
 	if err != nil {
@@ -57,7 +45,7 @@ func EventProbabilityCtx(ctx context.Context, trials int, baseSeed uint64, worke
 // using exact component labeling per sample.
 func ConnectionProbability(g graph.Graph, p float64, u, v graph.Vertex, trials int, baseSeed uint64) (float64, error) {
 	var labelErr error
-	prob := EventProbability(trials, baseSeed, func(seed uint64) bool {
+	prob, err := EventProbability(context.Background(), trials, baseSeed, 1, nil, func(seed uint64) bool {
 		comps, err := Label(New(g, p, seed))
 		if err != nil {
 			labelErr = err
@@ -68,34 +56,25 @@ func ConnectionProbability(g graph.Graph, p float64, u, v graph.Vertex, trials i
 	if labelErr != nil {
 		return 0, labelErr
 	}
-	return prob, nil
+	return prob, err
 }
 
 // FindThreshold locates the p at which the (monotone increasing in p)
 // event probability crosses target, by bisection on [lo, hi] down to
-// width tol. The event receives (p, seed).
-func FindThreshold(lo, hi, target, tol float64, trials int, baseSeed uint64, event func(p float64, seed uint64) bool) (float64, error) {
-	return FindThresholdWorkers(lo, hi, target, tol, trials, baseSeed, 1, event)
-}
-
-// FindThresholdWorkers is FindThreshold with the Monte-Carlo trials of
-// each bisection step sharded across a worker pool (the bisection steps
-// themselves are inherently sequential). The located threshold is
-// identical for every workers value.
-func FindThresholdWorkers(lo, hi, target, tol float64, trials int, baseSeed uint64, workers int, event func(p float64, seed uint64) bool) (float64, error) {
-	return FindThresholdCtx(context.Background(), lo, hi, target, tol, trials, baseSeed, workers, nil, event)
-}
-
-// FindThresholdCtx is FindThresholdWorkers with cancellation and a
-// progress hook threaded through every Monte-Carlo batch of the
-// bisection. A done ctx aborts the search with ctx's error; a completed
-// search is identical to FindThresholdWorkers.
-func FindThresholdCtx(ctx context.Context, lo, hi, target, tol float64, trials int, baseSeed uint64, workers int, progress runner.Progress, event func(p float64, seed uint64) bool) (float64, error) {
+// width tol. The event receives (p, seed). The Monte-Carlo trials of
+// each bisection step are sharded across workers (the steps themselves
+// are inherently sequential), so the located threshold is identical for
+// every workers value. ctx and progress are threaded through every
+// EventProbability batch of the bisection.
+func FindThreshold(ctx context.Context, lo, hi, target, tol float64, trials int, baseSeed uint64, workers int, progress runner.Progress, event func(p float64, seed uint64) bool) (float64, error) {
 	if lo >= hi || tol <= 0 {
 		return 0, fmt.Errorf("percolation: invalid bracket [%v, %v] or tol %v", lo, hi, tol)
 	}
+	if trials <= 0 {
+		return 0, fmt.Errorf("percolation: threshold search needs positive trials, got %d", trials)
+	}
 	probAt := func(p float64) (float64, error) {
-		return EventProbabilityCtx(ctx, trials, rng.Combine(baseSeed, uint64(p*1e9)), workers, progress, func(seed uint64) bool {
+		return EventProbability(ctx, trials, rng.Combine(baseSeed, uint64(p*1e9)), workers, progress, func(seed uint64) bool {
 			return event(p, seed)
 		})
 	}
@@ -135,52 +114,37 @@ type GiantStats struct {
 	Components     uint64
 }
 
-// GiantScan labels `trials` samples at each p and returns the mean giant
-// and second-component fractions; the backbone of the E9 (AKS threshold)
-// experiment.
-func GiantScan(g graph.Graph, ps []float64, trials int, baseSeed uint64) ([]GiantStats, error) {
-	return GiantScanWorkers(g, ps, trials, baseSeed, 1)
-}
-
-// GiantScanWorkers is GiantScan with every (row, trial) sample sharded
-// across one worker pool — a single-p sweep with many trials saturates
-// the pool just as well as a many-p sweep. Sample seeds are split from
-// (baseSeed, row index, trial) exactly as in the sequential scan, and
-// per-row folds run in trial order, so results are bit-identical for
-// every workers value.
-func GiantScanWorkers(g graph.Graph, ps []float64, trials int, baseSeed uint64, workers int) ([]GiantStats, error) {
-	return GiantScanCtx(context.Background(), g, ps, trials, baseSeed, workers, nil)
-}
-
 // SampleFactory builds the percolation sample of one Monte-Carlo scan
 // cell from its retention probability and split seed, returning the
 // sample plus an optional release hook (nil when there is nothing to
 // free) that the scan invokes once the cell's labeling is done. It is
 // how the correlated failure models of internal/sim attach per-sample
 // dead-vertex masks to a scan without this package knowing how masks are
-// drawn; the default factory is plain New.
+// drawn; a nil factory is plain bond percolation (New).
 type SampleFactory func(p float64, seed uint64) (Sample, func())
 
-// defaultFactory is the pure bond-percolation SampleFactory.
-func defaultFactory(g graph.Graph) SampleFactory {
-	return func(p float64, seed uint64) (Sample, func()) {
+// scanCell builds the sample of scan cell (row, t) from the seed split
+// from (baseSeed, row, t). A nil newSample draws plain bond percolation,
+// which needs no release hook.
+func scanCell(g graph.Graph, newSample SampleFactory, p float64, baseSeed uint64, row, t int) (Sample, func()) {
+	seed := rng.Combine(baseSeed, uint64(row)<<32|uint64(t))
+	if newSample == nil {
 		return New(g, p, seed), nil
 	}
+	return newSample(p, seed)
 }
 
-// GiantScanCtx is GiantScanWorkers with cancellation and a progress
-// hook: a done ctx aborts the scan with ctx's error, progress — when
-// non-nil — observes each labeled sample, and a completed scan is
-// bit-identical to GiantScanWorkers.
-func GiantScanCtx(ctx context.Context, g graph.Graph, ps []float64, trials int, baseSeed uint64, workers int, progress runner.Progress) ([]GiantStats, error) {
-	return GiantScanSampledCtx(ctx, g, ps, trials, baseSeed, workers, progress, defaultFactory(g))
-}
-
-// GiantScanSampledCtx is GiantScanCtx with every cell's sample built by
-// newSample instead of plain bond percolation. Cell seeds are split
-// exactly as in GiantScanCtx, so a factory that ignores its extra
-// freedom reproduces GiantScanCtx byte for byte.
-func GiantScanSampledCtx(ctx context.Context, g graph.Graph, ps []float64, trials int, baseSeed uint64, workers int, progress runner.Progress, newSample SampleFactory) ([]GiantStats, error) {
+// GiantScan labels `trials` samples at each p, each built by newSample
+// (nil means plain bond percolation), and returns the mean giant and
+// second-component fractions; the backbone of the E9 (AKS threshold)
+// experiment. Every (row, trial) sample is sharded across one worker
+// pool — a single-p sweep with many trials saturates the pool just as
+// well as a many-p sweep. Sample seeds are split from (baseSeed, row
+// index, trial) and per-row folds run in trial order, so results are
+// bit-identical for every workers value (<= 0 selects all cores). A done
+// ctx aborts the scan with ctx's error, and progress — when non-nil —
+// observes each labeled sample.
+func GiantScan(ctx context.Context, g graph.Graph, ps []float64, trials int, baseSeed uint64, workers int, progress runner.Progress, newSample SampleFactory) ([]GiantStats, error) {
 	if trials <= 0 {
 		return nil, fmt.Errorf("percolation: giant scan needs positive trials, got %d", trials)
 	}
@@ -188,10 +152,9 @@ func GiantScanSampledCtx(ctx context.Context, g graph.Graph, ps []float64, trial
 		giant, second float64
 		components    uint64
 	}
-	samples, err := runner.MapCtx(ctx, runner.New(workers), len(ps)*trials, progress, func(flat int) (sample, error) {
+	samples, err := runner.Map(ctx, workers, len(ps)*trials, progress, func(flat int) (sample, error) {
 		row, t := flat/trials, flat%trials
-		seed := rng.Combine(baseSeed, uint64(row)<<32|uint64(t))
-		s, release := newSample(ps[row], seed)
+		s, release := scanCell(g, newSample, ps[row], baseSeed, row, t)
 		if release != nil {
 			defer release()
 		}

@@ -1,26 +1,39 @@
 package percolation
 
 import (
+	"context"
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"faultroute/internal/graph"
 )
 
+// eventProbability is a single-worker EventProbability that fails the
+// test on error.
+func eventProbability(t *testing.T, trials int, baseSeed uint64, event func(seed uint64) bool) float64 {
+	t.Helper()
+	prob, err := EventProbability(context.Background(), trials, baseSeed, 1, nil, event)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prob
+}
+
 func TestEventProbabilityExtremes(t *testing.T) {
-	always := EventProbability(50, 1, func(uint64) bool { return true })
-	never := EventProbability(50, 1, func(uint64) bool { return false })
+	always := eventProbability(t, 50, 1, func(uint64) bool { return true })
+	never := eventProbability(t, 50, 1, func(uint64) bool { return false })
 	if always != 1 || never != 0 {
 		t.Fatalf("got %v and %v", always, never)
 	}
-	if EventProbability(0, 1, func(uint64) bool { return true }) != 0 {
+	if eventProbability(t, 0, 1, func(uint64) bool { return true }) != 0 {
 		t.Fatal("zero trials should yield 0")
 	}
 }
 
 func TestEventProbabilityCoinIsFair(t *testing.T) {
-	got := EventProbability(4000, 9, func(seed uint64) bool { return seed%2 == 0 })
+	got := eventProbability(t, 4000, 9, func(seed uint64) bool { return seed%2 == 0 })
 	if math.Abs(got-0.5) > 0.05 {
 		t.Fatalf("parity event probability = %v", got)
 	}
@@ -51,7 +64,7 @@ func TestFindThresholdOnKnownEvent(t *testing.T) {
 	// probability of the event is exactly p, so the p at which it crosses
 	// target 0.5 is 0.5.
 	g := graph.MustRing(3)
-	got, err := FindThreshold(0, 1, 0.5, 0.02, 600, 11, func(p float64, seed uint64) bool {
+	got, err := FindThreshold(context.Background(), 0, 1, 0.5, 0.02, 600, 11, 1, nil, func(p float64, seed uint64) bool {
 		s := New(g, p, seed)
 		open, _ := s.Open(0, 1)
 		return open
@@ -65,20 +78,29 @@ func TestFindThresholdOnKnownEvent(t *testing.T) {
 }
 
 func TestFindThresholdBadBracket(t *testing.T) {
-	_, err := FindThreshold(0.8, 0.9, 0.5, 0.01, 50, 1, func(p float64, seed uint64) bool {
+	_, err := FindThreshold(context.Background(), 0.8, 0.9, 0.5, 0.01, 50, 1, 1, nil, func(p float64, seed uint64) bool {
 		return true // probability 1 everywhere: lower bound already above target
 	})
 	if !errors.Is(err, ErrBadBracket) {
 		t.Fatalf("err = %v, want ErrBadBracket", err)
 	}
-	if _, err := FindThreshold(0.9, 0.1, 0.5, 0.01, 10, 1, nil); err == nil {
+	if _, err := FindThreshold(context.Background(), 0.9, 0.1, 0.5, 0.01, 10, 1, 1, nil, nil); err == nil {
 		t.Fatal("inverted bracket accepted")
+	}
+	// Zero trials estimate every event probability as 0; that must be
+	// rejected up front, not reported as an unbracketed target.
+	always := func(float64, uint64) bool { return true }
+	for _, trials := range []int{0, -3} {
+		_, err := FindThreshold(context.Background(), 0.01, 0.99, 0.5, 0.01, trials, 1, 1, nil, always)
+		if err == nil || errors.Is(err, ErrBadBracket) || !strings.Contains(err.Error(), "needs positive trials") {
+			t.Fatalf("trials=%d: err = %v, want a positive-trials error", trials, err)
+		}
 	}
 }
 
 func TestGiantScanMonotoneAndBounded(t *testing.T) {
 	g := graph.MustHypercube(9)
-	stats, err := GiantScan(g, []float64{0.05, 0.2, 0.5, 0.9}, 5, 17)
+	stats, err := GiantScan(context.Background(), g, []float64{0.05, 0.2, 0.5, 0.9}, 5, 17, 1, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +135,7 @@ func TestMeshCriticalPointIsHalf(t *testing.T) {
 	g := graph.MustMesh(2, 24)
 	u := graph.Vertex(0)
 	v := graph.Vertex(g.Order() - 1)
-	got, err := FindThreshold(0.3, 0.95, 0.5, 0.01, 300, 23, func(p float64, seed uint64) bool {
+	got, err := FindThreshold(context.Background(), 0.3, 0.95, 0.5, 0.01, 300, 23, 1, nil, func(p float64, seed uint64) bool {
 		comps, err := Label(New(g, p, seed))
 		if err != nil {
 			return false

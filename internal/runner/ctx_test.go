@@ -8,25 +8,8 @@ import (
 	"time"
 )
 
-func TestMapCtxMatchesMap(t *testing.T) {
-	// With a background context and no hook, MapCtx must be Map.
-	for _, workers := range []int{1, 4} {
-		got, err := MapCtx(context.Background(), New(workers), 50, nil, func(i int) (int, error) {
-			return i + 1, nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, v := range got {
-			if v != i+1 {
-				t.Fatalf("workers=%d: out[%d] = %d", workers, i, v)
-			}
-		}
-	}
-}
-
 func TestMapCtxNilContext(t *testing.T) {
-	out, err := MapCtx(nil, New(2), 4, nil, func(i int) (int, error) { return i, nil })
+	out, err := Map(nil, 2, 4, nil, func(i int) (int, error) { return i, nil })
 	if err != nil || len(out) != 4 {
 		t.Fatalf("nil ctx: (%v, %v)", out, err)
 	}
@@ -35,7 +18,7 @@ func TestMapCtxNilContext(t *testing.T) {
 func TestMapCtxProgressCountsEveryShard(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		var done atomic.Int64
-		_, err := MapCtx(context.Background(), New(workers), 37, func(delta int) {
+		_, err := Map(context.Background(), workers, 37, func(delta int) {
 			done.Add(int64(delta))
 		}, func(i int) (int, error) {
 			return i, nil
@@ -53,7 +36,7 @@ func TestMapCtxCancellationStopsClaiming(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		ctx, cancel := context.WithCancel(context.Background())
 		var ran atomic.Int64
-		_, err := MapCtx(ctx, New(workers), 1_000_000, nil, func(i int) (int, error) {
+		_, err := Map(ctx, workers, 1_000_000, nil, func(i int) (int, error) {
 			if ran.Add(1) == 10 {
 				cancel()
 			}
@@ -73,7 +56,7 @@ func TestMapCtxCancellationStopsClaiming(t *testing.T) {
 func TestMapCtxDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
-	_, err := MapCtx(ctx, New(4), 1_000_000, nil, func(i int) (int, error) {
+	_, err := Map(ctx, 4, 1_000_000, nil, func(i int) (int, error) {
 		time.Sleep(100 * time.Microsecond)
 		return i, nil
 	})
@@ -88,7 +71,7 @@ func TestMapCtxShardErrorBeatsCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	boom := errors.New("boom")
-	_, err := MapCtx(ctx, New(4), 1000, nil, func(i int) (int, error) {
+	_, err := Map(ctx, 4, 1000, nil, func(i int) (int, error) {
 		if i == 3 {
 			cancel()
 			return 0, boom

@@ -1,5 +1,5 @@
 // Package runner is the parallel trial engine: a deterministic sharded
-// worker pool that the Monte-Carlo layers (core.Estimate, the exp
+// worker pool that the Monte-Carlo layers (core.EstimateRange, the exp
 // harness, the percolation sweeps) fan their independent trials across.
 //
 // Every unit of work is identified by a dense index i in [0, n); the
@@ -36,42 +36,10 @@ import (
 // or not a hook is installed.
 type Progress func(delta int)
 
-// DefaultWorkers returns the worker count used when a caller asks for
-// "all cores": runtime.GOMAXPROCS(0).
-func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
-
-// Pool is a worker-pool executor. The zero value is not meaningful;
-// construct with New. A Pool is stateless between calls and safe for
-// concurrent use; it spawns goroutines per call rather than keeping
-// long-lived workers, so an idle Pool costs nothing.
-type Pool struct {
-	workers int
-}
-
-// New returns a pool that runs up to workers shards concurrently.
-// workers <= 0 selects DefaultWorkers().
-func New(workers int) *Pool {
-	if workers <= 0 {
-		workers = DefaultWorkers()
-	}
-	return &Pool{workers: workers}
-}
-
-// Workers returns the pool's concurrency bound.
-func (p *Pool) Workers() int { return p.workers }
-
-// Run executes fn(i) for every i in [0, n) across the pool and returns
-// the first error in index order (see Map for the determinism
-// contract).
-func (p *Pool) Run(n int, fn func(i int) error) error {
-	_, err := Map(p, n, func(i int) (struct{}, error) {
-		return struct{}{}, fn(i)
-	})
-	return err
-}
-
-// Map executes fn(i) for every i in [0, n) across the pool and returns
-// the results in index order.
+// Map executes fn(i) for every i in [0, n) across up to workers
+// goroutines and returns the results in index order. workers <= 0
+// selects runtime.GOMAXPROCS(0); a nil ctx means context.Background();
+// a nil progress installs no hook.
 //
 // Determinism contract: fn must derive all randomness from i (and
 // captured immutable state), never from scheduling. Under that
@@ -82,30 +50,21 @@ func (p *Pool) Run(n int, fn func(i int) error) error {
 // have stopped on. Shards are claimed in ascending index order, so
 // every index below the lowest failing one is guaranteed to have run;
 // indices above it may be skipped once a failure is observed.
-func Map[T any](p *Pool, n int, fn func(i int) (T, error)) ([]T, error) {
-	return MapCtx(context.Background(), p, n, nil, fn)
-}
-
-// MapCtx is Map with cancellation and a progress hook.
 //
 // Cancellation contract: workers stop claiming shards once ctx is done
-// and MapCtx returns ctx.Err() — unless some shard had already failed,
-// in which case the lowest-index shard error wins exactly as in Map.
-// A nil ctx means context.Background(); a nil progress installs no hook.
-// Cancellation only ever truncates a run, it never alters what any
-// completed shard computed, so a run that finishes without tripping the
-// context is bit-identical to an uncancellable one.
-func MapCtx[T any](ctx context.Context, p *Pool, n int, progress Progress, fn func(i int) (T, error)) ([]T, error) {
+// and Map returns ctx.Err() — unless some shard had already failed, in
+// which case the lowest-index shard error wins as above. Cancellation
+// only ever truncates a run, it never alters what any completed shard
+// computed, so a run that finishes without tripping the context is
+// bit-identical to an uncancellable one.
+func Map[T any](ctx context.Context, workers, n int, progress Progress, fn func(i int) (T, error)) ([]T, error) {
 	if n <= 0 {
 		return nil, nil
 	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	workers := p.workers
-	if workers > n {
-		workers = n
-	}
+	workers = poolSize(workers, n)
 	out := make([]T, n)
 	if workers <= 1 {
 		// Sequential path: a plain loop, stopping at the first error or
@@ -171,4 +130,14 @@ func MapCtx[T any](ctx context.Context, p *Pool, n int, progress Progress, fn fu
 		return nil, err
 	}
 	return out, nil
+}
+
+// poolSize resolves Map's worker count for n shards: workers <= 0
+// selects runtime.GOMAXPROCS(0), and no more workers run than there are
+// shards.
+func poolSize(workers, n int) int {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return min(workers, n)
 }

@@ -10,7 +10,7 @@ import (
 
 func TestMapResultsInIndexOrder(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 8, 33} {
-		out, err := Map(New(workers), 100, func(i int) (int, error) {
+		out, err := Map(nil, workers, 100, nil, func(i int) (int, error) {
 			return i * i, nil
 		})
 		if err != nil {
@@ -28,7 +28,7 @@ func TestMapResultsInIndexOrder(t *testing.T) {
 }
 
 func TestMapEmpty(t *testing.T) {
-	out, err := Map(New(4), 0, func(i int) (int, error) { return 0, nil })
+	out, err := Map(nil, 4, 0, nil, func(i int) (int, error) { return 0, nil })
 	if err != nil || out != nil {
 		t.Fatalf("Map(0 items) = (%v, %v), want (nil, nil)", out, err)
 	}
@@ -36,7 +36,7 @@ func TestMapEmpty(t *testing.T) {
 
 func TestMapLowestIndexErrorWins(t *testing.T) {
 	errAt := func(bad map[int]bool) error {
-		_, err := Map(New(8), 64, func(i int) (int, error) {
+		_, err := Map(nil, 8, 64, nil, func(i int) (int, error) {
 			if bad[i] {
 				return 0, fmt.Errorf("fail at %d", i)
 			}
@@ -57,7 +57,7 @@ func TestMapLowestIndexErrorWins(t *testing.T) {
 func TestMapErrorSkipsRemainingWork(t *testing.T) {
 	var calls atomic.Int64
 	sentinel := errors.New("boom")
-	_, err := Map(New(4), 1_000_000, func(i int) (int, error) {
+	_, err := Map(nil, 4, 1_000_000, nil, func(i int) (int, error) {
 		calls.Add(1)
 		return 0, sentinel
 	})
@@ -69,29 +69,23 @@ func TestMapErrorSkipsRemainingWork(t *testing.T) {
 	}
 }
 
-func TestRunPropagatesError(t *testing.T) {
-	sentinel := errors.New("boom")
-	err := New(3).Run(10, func(i int) error {
-		if i == 4 {
-			return sentinel
-		}
-		return nil
-	})
-	if !errors.Is(err, sentinel) {
-		t.Fatalf("err = %v", err)
-	}
-	if err := New(3).Run(10, func(i int) error { return nil }); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestNewDefaultsToAllCores(t *testing.T) {
+// TestMapDefaultsToAllCores: workers <= 0 selects GOMAXPROCS, and no
+// more workers run than there are shards.
+func TestMapDefaultsToAllCores(t *testing.T) {
 	for _, w := range []int{0, -1} {
-		if got := New(w).Workers(); got != runtime.GOMAXPROCS(0) {
-			t.Fatalf("New(%d).Workers() = %d, want GOMAXPROCS = %d", w, got, runtime.GOMAXPROCS(0))
+		if got := poolSize(w, 1<<20); got != runtime.GOMAXPROCS(0) {
+			t.Fatalf("poolSize(%d) = %d, want GOMAXPROCS = %d", w, got, runtime.GOMAXPROCS(0))
 		}
 	}
-	if got := New(7).Workers(); got != 7 {
-		t.Fatalf("New(7).Workers() = %d", got)
+	if got := poolSize(7, 100); got != 7 {
+		t.Fatalf("poolSize(7, 100) = %d", got)
+	}
+	if got := poolSize(7, 3); got != 3 {
+		t.Fatalf("poolSize(7, 3) = %d, want the shard count", got)
+	}
+	// End to end: a default-width Map still returns every result.
+	out, err := Map(nil, 0, 5, nil, func(i int) (int, error) { return i, nil })
+	if err != nil || len(out) != 5 {
+		t.Fatalf("Map(workers 0) = (%v, %v)", out, err)
 	}
 }

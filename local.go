@@ -159,7 +159,11 @@ func (l *Local) run(ctx context.Context, req api.Request, onEvent func(api.Event
 // workers and progress configuration — the typed fast path. A
 // completed run is bit-identical for every worker count.
 func (l *Local) Estimate(ctx context.Context, spec Spec, src, dst Vertex, trials, maxTries int, seed uint64) (Complexity, error) {
-	return core.EstimateCtx(ctx, spec, src, dst, trials, maxTries, seed, l.workers, l.progress)
+	rows, err := core.EstimateRange(ctx, spec, src, dst, 0, trials, maxTries, seed, l.workers, l.progress)
+	if err != nil {
+		return Complexity{}, err
+	}
+	return core.MergeTrials(rows)
 }
 
 // EstimateBatch runs many estimates through one shared worker pool, so
@@ -167,5 +171,5 @@ func (l *Local) Estimate(ctx context.Context, spec Spec, src, dst Vertex, trials
 // Results arrive in request order, bit-identical to estimating each
 // request separately.
 func (l *Local) EstimateBatch(ctx context.Context, reqs []EstimateRequest) ([]Complexity, error) {
-	return core.EstimateBatchCtx(ctx, reqs, l.workers, l.progress)
+	return core.EstimateBatch(ctx, reqs, l.workers, l.progress)
 }
